@@ -1,16 +1,19 @@
 """Power / anti-power detectors, border machinery, and their naive oracles.
 
-The fast detectors use the double-modulus rolling hash with a mandatory
-direct comparison confirming any hash equality.  The ``naive_*`` functions
-are deliberately independent quadratic re-implementations kept as oracles;
-do not "optimize" them to share code with the fast paths.
+The fast detectors compare byte slices directly: a word is a k-anti-power
+when the set of its k blocks has k members, and the suffix checks
+``ends_in_power`` / ``ends_in_anti_power`` used by the extension searches
+test every suffix ending at the last letter the same way.  No hashing is
+involved; the hash-filtered check for long prefixes is
+``PrefixHashes.distinct_blocks``.  The ``naive_*`` functions are
+deliberately independent quadratic re-implementations kept as oracles; do
+not "optimize" them to share code with the fast paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hashing import PrefixHashes
 from .words import Word
 
 
@@ -51,27 +54,34 @@ def is_k_power(w: Word, k: int) -> bool:
 
 
 def is_k_anti_power(w: Word, k: int) -> bool:
-    """True iff w is non-empty and splits into k pairwise distinct equal blocks.
-
-    Block hashing with exact comparison confirming any hash equality.
-    """
+    """True iff w is non-empty and splits into k pairwise distinct equal blocks."""
     if k < 1:
         raise ValueError("order k must be >= 1")
     n = len(w)
     if n == 0 or n % k:
         return False
     b = n // k
-    ph = PrefixHashes(w.symbols)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for t in range(k):
-        start = t * b
-        hv = ph.block(start, b)
-        bucket = buckets.setdefault(hv, [])
-        for other in bucket:
-            if ph.symbols(other, b) == ph.symbols(start, b):
-                return False
-        bucket.append(start)
-    return True
+    s = w.symbols
+    return len({s[t * b : (t + 1) * b] for t in range(k)}) == k
+
+
+def ends_in_power(s: bytes, l: int) -> bool:
+    """Is some suffix of s an l-power of a non-empty block?"""
+    n = len(s)
+    for b in range(1, n // l + 1):
+        if s[n - l * b :] == s[n - l * b : n - (l - 1) * b] * l:
+            return True
+    return False
+
+
+def ends_in_anti_power(s: bytes, k: int) -> bool:
+    """Does some suffix of s split into k pairwise distinct equal blocks?"""
+    n = len(s)
+    for b in range(1, n // k + 1):
+        start = n - k * b
+        if len({s[start + t * b : start + (t + 1) * b] for t in range(k)}) == k:
+            return True
+    return False
 
 
 def naive_is_k_power(w: Word, k: int) -> bool:

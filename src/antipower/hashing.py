@@ -1,7 +1,8 @@
 """Polynomial rolling hashes over two fixed 61-bit prime moduli.
 
 A hash match is never taken as proof of equality: every equality decision
-made through :meth:`PrefixHashes.equal_blocks` falls back to a direct
+made through :meth:`PrefixHashes.equal_blocks` or
+:meth:`PrefixHashes.distinct_blocks` falls back to a direct
 symbol-by-symbol comparison once the two hash pairs agree.  Hash mismatch,
 on the other hand, is a sound proof of inequality.  The moduli and bases
 are fixed constants so that runs are bit-for-bit reproducible.
@@ -77,6 +78,22 @@ class PrefixHashes:
         if self.block(a, length) != self.block(b, length):
             return False
         return self._sym[a : a + length] == self._sym[b : b + length]
+
+    def distinct_blocks(self, start: int, length: int, k: int) -> bool:
+        """Are the k consecutive length-``length`` blocks from ``start`` pairwise distinct?
+
+        Blocks are bucketed by hash pair; a block sharing a bucket is
+        compared symbol by symbol with every earlier block in it.
+        """
+        buckets: dict[tuple[int, int], list[int]] = {}
+        for t in range(k):
+            a = start + t * length
+            bucket = buckets.setdefault(self.block(a, length), [])
+            for other in bucket:
+                if self.symbols(other, length) == self.symbols(a, length):
+                    return False
+            bucket.append(a)
+        return True
 
     def symbols(self, start: int, length: int) -> bytes:
         """Raw symbols of a block, for direct comparisons."""

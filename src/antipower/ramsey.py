@@ -14,7 +14,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
-from .detect import naive_has_k_anti_power_factor, naive_has_k_power_factor
+from .detect import (
+    ends_in_anti_power,
+    ends_in_power,
+    naive_has_k_anti_power_factor,
+    naive_has_k_power_factor,
+)
 from .words import Word
 
 EXACT = "exact"
@@ -33,8 +38,8 @@ class SearchParams:
     def __post_init__(self) -> None:
         if self.l < 2 or self.k < 2:
             raise ValueError("need l >= 2 and k >= 2")
-        if self.alphabet_size < 2:
-            raise ValueError("alphabet_size must be >= 2")
+        if not 2 <= self.alphabet_size <= 256:
+            raise ValueError("alphabet_size must be in 2..256")
         if self.length_cap < 1:
             raise ValueError("length_cap must be >= 1")
 
@@ -66,20 +71,6 @@ class SearchOutcome:
         }
 
 
-def _extension_blocked(s: bytes, l: int, k: int) -> bool:
-    """Does some suffix ending at the last letter form an l-power or k-anti-power?"""
-    n = len(s)
-    for b in range(1, n // l + 1):
-        if s[n - l * b :] == s[n - l * b : n - (l - 1) * b] * l:
-            return True
-    for b in range(1, n // k + 1):
-        start = n - k * b
-        blocks = {s[start + t * b : start + (t + 1) * b] for t in range(k)}
-        if len(blocks) == k:
-            return True
-    return False
-
-
 def _search_subtree(root: bytes, used: int, l: int, k: int, a: int, cap: int):
     """Exhaust the subtree under ``root`` (already known to avoid both).
 
@@ -101,7 +92,9 @@ def _search_subtree(root: bytes, used: int, l: int, k: int, a: int, cap: int):
         for c in range(min(used + 1, a)):
             t = s + bytes((c,))
             nodes += 1
-            if not _extension_blocked(t, l, k) and go(t, used + (1 if c == used else 0)):
+            if ends_in_power(t, l) or ends_in_anti_power(t, k):
+                continue
+            if go(t, used + (1 if c == used else 0)):
                 return True
         return False
 
@@ -133,8 +126,9 @@ def _frontier(depth: int, l: int, k: int, a: int):
         for c in range(min(used + 1, a)):
             t = s + bytes((c,))
             nodes += 1
-            if not _extension_blocked(t, l, k):
-                go(t, used + (1 if c == used else 0))
+            if ends_in_power(t, l) or ends_in_anti_power(t, k):
+                continue
+            go(t, used + (1 if c == used else 0))
 
     go(b"", 0)
     return roots, deepest, nodes

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import naive_is_k_anti_power
+from .detect import ends_in_anti_power, naive_is_k_anti_power
 from .words import InfiniteWord, Word
 
 
@@ -68,18 +68,7 @@ def anti_power_at_position(x: InfiniteWord, k: int, pos: int, limit: int) -> int
         raise ValueError("need k >= 2, pos >= 1, limit >= 1")
     start = pos - 1
     for ell in range(1, limit + 1):
-        ph = x.hashes(start + k * ell)
-        buckets: dict[tuple[int, int], list[int]] = {}
-        distinct = True
-        for t in range(k):
-            a = start + t * ell
-            hv = ph.block(a, ell)
-            bucket = buckets.setdefault(hv, [])
-            if any(ph.symbols(other, ell) == ph.symbols(a, ell) for other in bucket):
-                distinct = False
-                break
-            bucket.append(a)
-        if distinct:
+        if x.hashes(start + k * ell).distinct_blocks(start, ell, k):
             return ell
     return None
 
@@ -98,17 +87,6 @@ class ExtensionOutcome:
     depth: int
 
 
-def _suffix_anti_power(s: bytes, k: int) -> bool:
-    """Does some suffix ending at the last letter split into k distinct blocks?"""
-    n = len(s)
-    for b in range(1, n // k + 1):
-        start = n - k * b
-        blocks = {s[start + t * b : start + (t + 1) * b] for t in range(k)}
-        if len(blocks) == k:
-            return True
-    return False
-
-
 def max_avoiding_extension(w: Word, k: int, alphabet_size: int, depth_cap: int) -> ExtensionOutcome:
     """DFS over right-extensions of w, pruning any that end in a k-anti-power.
 
@@ -116,27 +94,29 @@ def max_avoiding_extension(w: Word, k: int, alphabet_size: int, depth_cap: int) 
     factor of an extension either lies inside w (the caller's concern) or
     ends at an appended position); the seed's own last position is checked
     up front, so a seed that is itself a k-anti-power is exhausted(0).
+    The DFS keeps an explicit stack of (word, remaining letters) pairs, so
+    depth_cap is not limited by Python's recursion limit; letters are tried
+    in increasing order and a sibling only after its elder's subtree died.
     """
-    if k < 2 or alphabet_size < 2 or depth_cap < 0:
-        raise ValueError("need k >= 2, alphabet_size >= 2, depth_cap >= 0")
-    seed = w.symbols
-    if seed and _suffix_anti_power(seed, k):
+    if k < 2 or not 2 <= alphabet_size <= 256 or depth_cap < 0:
+        raise ValueError("need k >= 2, 2 <= alphabet_size <= 256, depth_cap >= 0")
+    if ends_in_anti_power(w.symbols, k):
         return ExtensionOutcome(status="exhausted", depth=0)
 
     letters = [bytes((c,)) for c in range(alphabet_size)]
+    stack = [(w.symbols, iter(letters))]
     best = 0
-
-    def extend(s: bytes, depth: int) -> bool:
-        nonlocal best
+    while stack:
+        depth = len(stack) - 1
         best = max(best, depth)
         if depth == depth_cap:
-            return True
-        for letter in letters:
+            return ExtensionOutcome(status="open", depth=depth_cap)
+        s, pending = stack[-1]
+        for letter in pending:
             t = s + letter
-            if not _suffix_anti_power(t, k) and extend(t, depth + 1):
-                return True
-        return False
-
-    if extend(seed, 0):
-        return ExtensionOutcome(status="open", depth=depth_cap)
+            if not ends_in_anti_power(t, k):
+                stack.append((t, iter(letters)))
+                break
+        else:
+            stack.pop()
     return ExtensionOutcome(status="exhausted", depth=best)

@@ -57,16 +57,7 @@ class DensityEstimate:
 
 def prefix_is_k_anti_power(ph: PrefixHashes, k: int, m: int) -> bool:
     """Is the km-prefix (under the given hash table) a k-anti-power?"""
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for t in range(k):
-        start = t * m
-        hv = ph.block(start, m)
-        bucket = buckets.setdefault(hv, [])
-        for other in bucket:
-            if ph.symbols(other, m) == ph.symbols(start, m):
-                return False
-        bucket.append(start)
-    return True
+    return ph.distinct_blocks(0, m, k)
 
 
 def prefix_is_k_power(ph: PrefixHashes, k: int, m: int) -> bool:

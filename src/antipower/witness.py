@@ -4,10 +4,10 @@ For an infinite word x, order k >= 2 and exponent l >= 1, the extractor
 scans for a run of C(k,2)+1 consecutive block lengths none of which gives an
 anti-power prefix.  Inside such a window, pigeonhole over the first k blocks
 at each radius yields two radii r < s sharing an equal pair (i, j); from the
-overlap of those equal blocks a border is peeled and a root u with u**l a
-factor of x drops out.  When every scanned window is blocked by an
-anti-power index, the anti-power half of the dichotomy is certified instead,
-by listing confirmed anti-power prefix lengths.
+overlap of those equal blocks a border is peeled (``root_power_from_border``)
+and a root u with u**l a factor of x drops out.  When every scanned window
+is blocked by an anti-power index, the anti-power half of the dichotomy is
+certified instead, by listing confirmed anti-power prefix lengths.
 
 Every claimed equality is re-verified against x by direct symbol comparison
 before a result is returned.
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .detect import LengthDeficit, root_power_from_border
 from .sets import prefix_is_k_anti_power
 from .words import InfiniteWord, Word
 
@@ -168,7 +169,10 @@ def _extract_from_window(x: InfiniteWord, k: int, l: int, m: int) -> WitnessEvid
     prefix = x.prefix(k * s).symbols
     w = prefix[i * s : (i + 1) * r]
     v = prefix[j * s : (j + 1) * r]
-    u = Word(w[: len(w) - len(v)], x.alphabet_size)
+    # m > (l+1)M gives |w| > l*M >= l*|u|, so the peel cannot fall short
+    u = root_power_from_border(Word(w, x.alphabet_size), len(v), l)
+    if isinstance(u, LengthDeficit):
+        raise AssertionError("root power does not fit inside the overlap block")
     ev = WitnessEvidence(
         u=u,
         l=l,

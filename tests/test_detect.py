@@ -4,6 +4,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antipower import (
     InvalidBorderError,
@@ -18,6 +20,7 @@ from antipower import (
     naive_is_k_power,
     root_power_from_border,
 )
+from antipower.detect import ends_in_anti_power, ends_in_power
 
 
 def brute_borders(s: bytes) -> list[int]:
@@ -61,6 +64,44 @@ def test_detectors_match_naive_oracle_exhaustively():
                     continue
                 assert is_k_power(w, k) == naive_is_k_power(w, k)
                 assert is_k_anti_power(w, k) == naive_is_k_anti_power(w, k)
+
+
+def naive_ends_in(check, w: Word, k: int) -> bool:
+    """Oracle: does the naive detector accept some suffix of length k*b?"""
+    n = len(w)
+    return any(check(w[n - k * b :], k) for b in range(1, n // k + 1))
+
+
+def test_suffix_checks_match_naive_oracle_exhaustively():
+    for n in range(0, 11):
+        for bits in product((0, 1), repeat=n):
+            w = Word(bytes(bits), 2)
+            for k in range(1, 5):
+                assert ends_in_power(w.symbols, k) == naive_ends_in(naive_is_k_power, w, k)
+                assert ends_in_anti_power(w.symbols, k) == naive_ends_in(naive_is_k_anti_power, w, k)
+
+
+# fixed-seed property runs: random short ternary words, no example database
+derandomized = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+ternary_words = st.lists(st.integers(0, 2), max_size=30).map(lambda s: Word(bytes(s), 3))
+
+
+@derandomized
+@given(ternary_words, st.integers(1, 6))
+def test_is_k_anti_power_matches_naive_oracle_on_random_words(w, k):
+    assert is_k_anti_power(w, k) == naive_is_k_anti_power(w, k)
+
+
+@derandomized
+@given(ternary_words, st.integers(1, 6))
+def test_ends_in_power_matches_naive_oracle_on_random_words(w, l):
+    assert ends_in_power(w.symbols, l) == naive_ends_in(naive_is_k_power, w, l)
+
+
+@derandomized
+@given(ternary_words, st.integers(1, 6))
+def test_ends_in_anti_power_matches_naive_oracle_on_random_words(w, k):
+    assert ends_in_anti_power(w.symbols, k) == naive_ends_in(naive_is_k_anti_power, w, k)
 
 
 def test_block_factorization():

@@ -3,7 +3,7 @@
 import random
 from concurrent.futures import ThreadPoolExecutor
 
-from antipower import ThueMorseWord
+from antipower import ThueMorseWord, Word, naive_is_k_anti_power
 from antipower.hashing import PrefixHashes
 from antipower.sets import prefix_is_k_anti_power
 
@@ -56,6 +56,12 @@ def test_equality_is_exact_even_when_every_hash_collides():
     for k in (2, 3, 4):
         for m in range(1, len(data) // k):
             assert prefix_is_k_anti_power(colliding, k, m) == prefix_is_k_anti_power(honest, k, m)
+    for k in (2, 3, 5):
+        for length in range(1, 9):
+            for start in range(1, len(data) - k * length + 1, 3):
+                want = naive_is_k_anti_power(Word(data[start : start + k * length], 2), k)
+                assert colliding.distinct_blocks(start, length, k) == want
+                assert honest.distinct_blocks(start, length, k) == want
 
 
 def test_concurrent_materialization_is_consistent():

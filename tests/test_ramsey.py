@@ -113,6 +113,8 @@ def test_params_validation():
         SearchParams(l=2, k=2, alphabet_size=1)
     with pytest.raises(ValueError):
         SearchParams(l=2, k=2, length_cap=0)
+    with pytest.raises(ValueError):  # words store one byte per symbol: refuse before searching
+        SearchParams(l=3, k=3, alphabet_size=300)
 
 
 def test_outcome_serialization():

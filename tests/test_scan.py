@@ -94,3 +94,14 @@ def test_extension_checks_suffixes_at_the_newest_letter_only():
     # survives the incremental check, so the search stays alive
     out = max_avoiding_extension(Word.from_text("0001100"), 3, 2, 1)
     assert out.status == "open" and out.depth == 1
+
+
+def test_extension_runs_deeper_than_the_recursion_limit():
+    # 0^n never ends in a 2-anti-power, so the search descends straight to the cap
+    out = max_avoiding_extension(Word.from_text("0"), 2, 2, 1500)
+    assert out.status == "open" and out.depth == 1500
+
+
+def test_extension_rejects_alphabets_beyond_a_byte():
+    with pytest.raises(ValueError):
+        max_avoiding_extension(Word.from_text("0"), 3, 300, 5)
