@@ -6,6 +6,10 @@ a depth-first extension of words one letter at a time; a branch dies as
 soon as some suffix ending at the newest letter is an l-power or a
 k-anti-power, and letter-renaming symmetry is quotiented away by requiring
 first occurrences of distinct letters in increasing order.
+
+extension_dfs is the one search engine: an explicit-stack DFS that serves
+the sequential search, the parallel frontier and its per-root workers here,
+and scan.max_avoiding_extension.
 """
 
 from __future__ import annotations
@@ -71,93 +75,80 @@ class SearchOutcome:
         }
 
 
-def _search_subtree(root: bytes, used: int, l: int, k: int, a: int, cap: int):
-    """Exhaust the subtree under ``root`` (already known to avoid both).
+def extension_dfs(root: bytes, used: int, alphabet_size: int, limit: int, dead, collect: bool = False):
+    """Depth-first search over the right-extensions of ``root`` that ``dead`` spares.
 
-    Returns (deepest_len, deepest_word, nodes, cap_word) where cap_word is
-    the first word that reached ``cap``, or None; when cap_word is not None
-    the subtree was abandoned at that point.
+    ``root`` is taken as live.  Letters are tried in increasing order, a new
+    letter only as the next of the ``used`` ones, so first occurrences come
+    in increasing order; ``used = alphabet_size`` turns this off.  The stack
+    holds (word, remaining letters) pairs, so ``limit`` is not bounded by
+    Python's recursion limit; a live word of ``limit`` letters is a leaf.
+
+    Returns (deepest, nodes, hits): the first longest live word, the number
+    of one-letter extensions tried, and the live (word, used) pairs of
+    ``limit`` letters in lex order, only the first unless ``collect``, in
+    which case the search goes on past each of them.
     """
-    nodes = 0
-    deepest = root
-    cap_word = None
-
-    def go(s: bytes, used: int) -> bool:
-        nonlocal nodes, deepest, cap_word
-        if len(s) > len(deepest):
-            deepest = s
-        if len(s) == cap:
-            cap_word = s
-            return True
-        for c in range(min(used + 1, a)):
-            t = s + bytes((c,))
+    if len(root) >= limit:
+        return root, 0, [(root, used)]
+    children = {
+        u: [(bytes((c,)), u + (c == u)) for c in range(min(u + 1, alphabet_size))]
+        for u in range(used, alphabet_size + 1)
+    }
+    deepest, nodes, hits = root, 0, []
+    stack = [(root, iter(children[used]))]
+    while stack:
+        s, pending = stack[-1]
+        for letter, now_used in pending:
+            t = s + letter
             nodes += 1
-            if ends_in_power(t, l) or ends_in_anti_power(t, k):
+            if dead(t):
                 continue
-            if go(t, used + (1 if c == used else 0)):
-                return True
-        return False
+            if len(t) > len(deepest):
+                deepest = t
+            if len(t) < limit:
+                stack.append((t, iter(children[now_used])))
+                break
+            hits.append((t, now_used))
+            if not collect:
+                return deepest, nodes, hits
+        else:
+            stack.pop()
+    return deepest, nodes, hits
 
-    go(root, used)
-    return len(deepest), deepest, nodes, cap_word
 
-
-def _worker(args) -> tuple:
-    return _search_subtree(*args)
-
-
-def _frontier(depth: int, l: int, k: int, a: int):
-    """All canonical avoiding words of exactly ``depth`` letters, in lex order.
-
-    Also returns the deepest dead-end word shorter than ``depth`` and the
-    node count spent building the frontier.
-    """
-    nodes = 0
-    deepest = b""
-    roots: list[tuple[bytes, int]] = []
-
-    def go(s: bytes, used: int) -> None:
-        nonlocal nodes, deepest
-        if len(s) > len(deepest):
-            deepest = s
-        if len(s) == depth:
-            roots.append((s, used))
-            return
-        for c in range(min(used + 1, a)):
-            t = s + bytes((c,))
-            nodes += 1
-            if ends_in_power(t, l) or ends_in_anti_power(t, k):
-                continue
-            go(t, used + (1 if c == used else 0))
-
-    go(b"", 0)
-    return roots, deepest, nodes
+def _search_root(job: tuple) -> tuple:
+    """extension_dfs under the N(l, k) pruning rule, picklable for worker processes."""
+    root, used, l, k, alphabet_size, limit, collect = job
+    return extension_dfs(
+        root, used, alphabet_size, limit, lambda t: ends_in_power(t, l) or ends_in_anti_power(t, k), collect
+    )
 
 
 def compute_n(params: SearchParams) -> SearchOutcome:
     """Run the search; Exact(N) when exhausted below the cap, else a lower bound."""
     l, k, a, cap = params.l, params.k, params.alphabet_size, params.length_cap
-    if params.parallel_depth > 0 and params.parallel_depth < cap:
-        roots, deepest, nodes = _frontier(params.parallel_depth, l, k, a)
-        cap_word = None
-        if roots:
-            jobs = [(root, used, l, k, a, cap) for root, used in roots]
-            with ProcessPoolExecutor(max_workers=max(1, params.workers)) as pool:
-                for dlen, dword, dnodes, cword in pool.map(_worker, jobs):
-                    nodes += dnodes
-                    if dlen > len(deepest) or (dlen == len(deepest) and dword < deepest):
-                        deepest = dword
-                    if cword is not None and (cap_word is None or cword < cap_word):
-                        cap_word = cword
-        if cap_word is not None:
-            deepest = cap_word  # lex-least cap word, matching the sequential result
+    depth = params.parallel_depth
+    if 0 < depth < cap:
+        # every live word of ``depth`` letters roots one job, in lex order
+        deepest, nodes, roots = _search_root((b"", 0, l, k, a, depth, True))
+        hits = []
+        jobs = [(root, used, l, k, a, cap, False) for root, used in roots]
+        with ProcessPoolExecutor(max_workers=max(1, params.workers)) as pool:
+            for dword, dnodes, hits in pool.map(_search_root, jobs):
+                nodes += dnodes
+                if len(dword) > len(deepest):
+                    deepest = dword
+                if hits:  # the first root to reach the cap holds the lex-least cap word
+                    pool.shutdown(cancel_futures=True)
+                    break
     else:
-        _, deepest, nodes, cap_word = _search_subtree(b"", 0, l, k, a, cap)
+        deepest, nodes, hits = _search_root((b"", 0, l, k, a, cap, False))
 
     witness = Word(deepest, a)
     if naive_has_k_power_factor(witness, l) or naive_has_k_anti_power_factor(witness, k):
         raise AssertionError("search produced a witness rejected by the naive oracle")
-    if cap_word is not None:
+    if hits:
         return SearchOutcome(params, LOWER_BOUND, len(deepest), witness, nodes)
     return SearchOutcome(params, EXACT, len(deepest) + 1, witness, nodes)
 

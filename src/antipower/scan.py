@@ -1,5 +1,8 @@
 """Sliding scans for anti-power factors and the bounded extension search.
 
+The extension search has no loop of its own: it runs on the explicit-stack
+DFS engine ramsey.extension_dfs that also drives the N(l, k) search.
+
 The factor scan is exact: for each block length it decides block equality
 by direct symbol comparison, vectorized with numpy (windowed cumulative
 sums of per-offset match masks), so no probabilistic step is involved.
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detect import ends_in_anti_power, naive_is_k_anti_power
+from .ramsey import extension_dfs
 from .words import InfiniteWord, Word
 
 
@@ -94,7 +98,7 @@ def max_avoiding_extension(w: Word, k: int, alphabet_size: int, depth_cap: int) 
     factor of an extension either lies inside w (the caller's concern) or
     ends at an appended position); the seed's own last position is checked
     up front, so a seed that is itself a k-anti-power is exhausted(0).
-    The DFS keeps an explicit stack of (word, remaining letters) pairs, so
+    The search is ramsey.extension_dfs with no symmetry breaking, so
     depth_cap is not limited by Python's recursion limit; letters are tried
     in increasing order and a sibling only after its elder's subtree died.
     """
@@ -102,21 +106,9 @@ def max_avoiding_extension(w: Word, k: int, alphabet_size: int, depth_cap: int) 
         raise ValueError("need k >= 2, 2 <= alphabet_size <= 256, depth_cap >= 0")
     if ends_in_anti_power(w.symbols, k):
         return ExtensionOutcome(status="exhausted", depth=0)
-
-    letters = [bytes((c,)) for c in range(alphabet_size)]
-    stack = [(w.symbols, iter(letters))]
-    best = 0
-    while stack:
-        depth = len(stack) - 1
-        best = max(best, depth)
-        if depth == depth_cap:
-            return ExtensionOutcome(status="open", depth=depth_cap)
-        s, pending = stack[-1]
-        for letter in pending:
-            t = s + letter
-            if not ends_in_anti_power(t, k):
-                stack.append((t, iter(letters)))
-                break
-        else:
-            stack.pop()
-    return ExtensionOutcome(status="exhausted", depth=best)
+    deepest, _, hits = extension_dfs(
+        w.symbols, alphabet_size, alphabet_size, len(w) + depth_cap, lambda t: ends_in_anti_power(t, k)
+    )
+    if hits:
+        return ExtensionOutcome(status="open", depth=depth_cap)
+    return ExtensionOutcome(status="exhausted", depth=len(deepest) - len(w))

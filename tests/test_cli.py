@@ -131,6 +131,11 @@ def test_search_n(capsys):
     assert code == 1
     result = without_elapsed(out)["result"]
     assert result["status"] == "lower-bound" and result["N_or_bound"] == 17
+    # a cap deeper than Python's recursion limit still ends in an envelope
+    code, out, _ = run(capsys, "search-n", "2", "40", "--alphabet", "3", "--cap", "1100")
+    assert code == 1
+    result = without_elapsed(out)["result"]
+    assert result["status"] == "lower-bound" and result["N_or_bound"] == 1100
 
 
 def test_n_table(capsys):

@@ -11,6 +11,8 @@ from antipower import (
     lower_bound_witness,
     naive_has_k_anti_power_factor,
     naive_has_k_power_factor,
+    naive_is_k_anti_power,
+    naive_is_k_power,
     theoretical_upper_bound,
 )
 
@@ -33,6 +35,37 @@ def test_exact_values_cross_checked_by_enumeration():
     for l, k, n in [(2, 2, 2), (3, 2, 3), (2, 3, 4), (3, 3, 9)]:
         assert any(not word_contains_either(bits, l, k) for bits in product((0, 1), repeat=n - 1))
         assert all(word_contains_either(bits, l, k) for bits in product((0, 1), repeat=n))
+
+
+def level_by_level_n(l, k, alphabet_size=2):
+    """N(l, k) and the lex-least word of length N - 1 avoiding both, over all words.
+
+    Shares no code with the search engine: no symmetry breaking, no stack,
+    and a word dies when any suffix is an l-power or a k-anti-power by the
+    naive oracles.  Live words are kept one length at a time, in lex order.
+    """
+
+    def dies(s):
+        n = len(s)
+        tail = lambda m: Word(s[n - m :], alphabet_size)  # noqa: E731
+        return any(naive_is_k_power(tail(l * b), l) for b in range(1, n // l + 1)) or any(
+            naive_is_k_anti_power(tail(k * b), k) for b in range(1, n // k + 1)
+        )
+
+    level = [b""]
+    while True:
+        longer = [s + bytes((c,)) for s in level for c in range(alphabet_size)]
+        longer = [s for s in longer if not dies(s)]
+        if not longer:
+            return len(level[0]) + 1, level[0]
+        level = longer
+
+
+@pytest.mark.parametrize("l,k,n", [(5, 3, 12), (3, 4, 19), (4, 4, 24)])
+def test_search_agrees_with_level_by_level_enumeration(l, k, n):
+    out = compute_n(SearchParams(l=l, k=k))
+    assert (out.status, out.value, out.max_avoiding_word.symbols) == ("exact", *level_by_level_n(l, k))
+    assert out.value == n
 
 
 def test_cap_limited_searches_certify_strict_bounds():
@@ -60,6 +93,8 @@ def test_parallel_matches_sequential():
     seq = compute_n(SearchParams(l=4, k=3))
     par = compute_n(SearchParams(l=4, k=3, parallel_depth=3, workers=2))
     assert (par.status, par.value, par.max_avoiding_word) == (seq.status, seq.value, seq.max_avoiding_word)
+    # an exhausted tree is the same tree whether or not it is split at the frontier
+    assert par.nodes_explored == seq.nodes_explored
     capped_seq = compute_n(SearchParams(l=3, k=4, length_cap=14))
     capped_par = compute_n(SearchParams(l=3, k=4, length_cap=14, parallel_depth=4, workers=2))
     assert (capped_par.status, capped_par.value, capped_par.max_avoiding_word) == (
@@ -67,6 +102,18 @@ def test_parallel_matches_sequential():
         capped_seq.value,
         capped_seq.max_avoiding_word,
     )
+    # the fan-out stops at the first root that reaches the cap: beyond the
+    # sequential path it only spends the frontier's own 2 + 4 + 8 + 16 tries
+    assert 0 <= capped_par.nodes_explored - capped_seq.nodes_explored <= 2 + 4 + 8 + 16
+
+
+@pytest.mark.parametrize("parallel_depth", [0, 3])
+def test_caps_deeper_than_the_recursion_limit(parallel_depth):
+    # square-free ternary words of any length exist and k=40 is far off, so
+    # the search runs straight down to the cap
+    out = compute_n(SearchParams(l=2, k=40, alphabet_size=3, length_cap=1100, parallel_depth=parallel_depth))
+    assert out.status == "lower-bound" and out.value == 1100
+    assert len(out.max_avoiding_word) == 1100
 
 
 def test_ternary_alphabet_square_free_case():

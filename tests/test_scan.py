@@ -75,8 +75,10 @@ def test_anti_power_at_position_not_found_is_none():
 def test_extension_dead_seeds():
     out = max_avoiding_extension(Word.from_text("abc"), 3, 3, 10)
     assert out.status == "exhausted" and out.depth == 0
+    # brute force over all binary extensions: some 4 appended letters
+    # survive, every 5 end in a 3-anti-power at an appended position
     out = max_avoiding_extension(Word.from_text("1001"), 3, 2, 20)
-    assert out.status == "exhausted" and out.depth <= 20
+    assert out.status == "exhausted" and out.depth == 4
 
 
 def test_extension_open_seed():
@@ -98,8 +100,10 @@ def test_extension_checks_suffixes_at_the_newest_letter_only():
 
 def test_extension_runs_deeper_than_the_recursion_limit():
     # 0^n never ends in a 2-anti-power, so the search descends straight to the cap
-    out = max_avoiding_extension(Word.from_text("0"), 2, 2, 1500)
-    assert out.status == "open" and out.depth == 1500
+    # depth_cap=0 puts a live seed at the limit before any letter is tried
+    for depth_cap in (1500, 0):
+        out = max_avoiding_extension(Word.from_text("0"), 2, 2, depth_cap)
+        assert out.status == "open" and out.depth == depth_cap
 
 
 def test_extension_rejects_alphabets_beyond_a_byte():
