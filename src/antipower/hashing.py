@@ -1,64 +1,131 @@
-"""Polynomial rolling hashes over two fixed 61-bit prime moduli.
+"""Polynomial prefix hashes over two fixed 31-bit prime moduli, built with numpy.
+
+The hash of the first i symbols is h[i] = sum_{j<i} (c_j + 1) * B**(i-1-j)
+mod p, for each of the two (B, p) pairs.  A table is built in fixed-size
+chunks: inside a chunk, h[lo + i] = B**i * (h[lo] + S_i) with S_i the int64
+cumsum of (c_{lo+j} + 1) * B**-(j+1), so temporaries stay bounded and no sum
+overflows.  The hashes live in ``array('q')``, so the scalar
+:meth:`PrefixHashes.block` returns plain Python ints.  The B**i table (one
+row per modulus) is built by doubling, lives at module level, is shared by
+every table and grows under a lock; the B**-j table covers one chunk.
+
+:meth:`PrefixHashes.block_keys` is the batch filter: the keys
+(v1 << 31) | v2 of many blocks in one vectorized pass.  Distinct keys prove
+distinct blocks; equal keys prove nothing.
 
 A hash match is never taken as proof of equality: every equality decision
 made through :meth:`PrefixHashes.equal_blocks` or
 :meth:`PrefixHashes.distinct_blocks` falls back to a direct
-symbol-by-symbol comparison once the two hash pairs agree.  Hash mismatch,
-on the other hand, is a sound proof of inequality.  The moduli and bases
-are fixed constants so that runs are bit-for-bit reproducible.
+symbol-by-symbol comparison once the two hash pairs agree.  The moduli and
+bases are fixed constants so that runs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
+import threading
+from array import array
 from typing import Iterable
 
-_MOD1 = 2305843009213693951  # 2**61 - 1 (Mersenne prime)
-_MOD2 = 2305843009213693921  # largest prime below it
+import numpy as np
+
+_MOD1 = 2147483647  # 2**31 - 1 (Mersenne prime)
+_MOD2 = 2147483629  # largest prime below it
 _BASE1 = 1_000_003
 _BASE2 = 1_000_033
+# one row per modulus
+_MODS = np.array([[_MOD1], [_MOD2]], dtype=np.int64)
+_BASES = np.array([[_BASE1], [_BASE2]], dtype=np.int64)
+
+_CHUNK = 1 << 14  # symbols per build step
+_POW_SLACK = 1 << 20  # the power table grows by at most this beyond the request
+_BATCH_K = 16  # distinct_blocks hashes this many blocks or more in one batch
+
+
+def _doubling(table: np.ndarray, have: int, bases: np.ndarray) -> np.ndarray:
+    """Fill table[:, have:] with bases**i mod p, given table[:, :have] (have >= 1)."""
+    while have < table.shape[1]:
+        step = min(have, table.shape[1] - have)
+        shift = table[:, have - 1 : have] * bases % _MODS  # bases**have
+        table[:, have : have + step] = table[:, :step] * shift % _MODS
+        have += step
+    return table
+
+
+_INV = _doubling(  # B**-j for one chunk
+    np.ones((2, _CHUNK + 1), dtype=np.int64),
+    1,
+    np.array([[pow(_BASE1, -1, _MOD1)], [pow(_BASE2, -1, _MOD2)]], dtype=np.int64),
+)
+_POWERS = np.ones((2, 1), dtype=np.int64)
+_POWERS_LOCK = threading.Lock()
+
+
+def _powers(n: int) -> np.ndarray:
+    """The shared B**i table of both moduli, covering at least i = 0..n-1.
+
+    A grown table is a new array, so a table handed out earlier stays valid
+    and unchanged.
+    """
+    global _POWERS
+    table = _POWERS
+    if table.shape[1] >= n:
+        return table
+    with _POWERS_LOCK:
+        have = _POWERS.shape[1]
+        if have < n:
+            grown = np.empty((2, max(n, min(2 * have, n + _POW_SLACK))), dtype=np.int64)
+            grown[:, :have] = _POWERS
+            _POWERS = _doubling(grown, have, _BASES)
+        return _POWERS
 
 
 class PrefixHashes:
     """Append-only prefix hashes of a symbol sequence.
 
     Supports O(1) hashing of any block (contiguous run) of the symbols seen
-    so far, plus exact block-equality queries.  Symbols are small ints.
+    so far, batched block keys, and exact block-equality queries.  Symbols
+    are small ints.
     """
 
-    __slots__ = ("_sym", "_h1", "_h2", "_p1", "_p2")
+    __slots__ = ("_sym", "_h1", "_h2", "_pw", "_p1", "_p2", "_lock")
 
     def __init__(self, symbols: Iterable[int] = b"") -> None:
         self._sym = bytearray()
-        self._h1 = [0]
-        self._h2 = [0]
-        self._p1 = [1]
-        self._p2 = [1]
-        if symbols:
-            self.extend(symbols)
+        self._h1 = array("q", [0])
+        self._h2 = array("q", [0])
+        self._use_powers(_powers(1))
+        # held while the arrays are resized or a buffer view of them is alive
+        self._lock = threading.Lock()
+        self.extend(symbols)
+
+    def _use_powers(self, table: np.ndarray) -> None:
+        self._pw = table
+        self._p1, self._p2 = memoryview(table[0]), memoryview(table[1])  # Python-int rows
 
     def __len__(self) -> int:
         return len(self._sym)
 
     def extend(self, symbols: Iterable[int]) -> None:
-        """Append symbols, growing the hash and power tables."""
-        h1 = self._h1[-1]
-        h2 = self._h2[-1]
-        p1 = self._p1[-1]
-        p2 = self._p2[-1]
-        ah1 = self._h1.append
-        ah2 = self._h2.append
-        ap1 = self._p1.append
-        ap2 = self._p2.append
-        for c in symbols:
-            h1 = (h1 * _BASE1 + c + 1) % _MOD1
-            h2 = (h2 * _BASE2 + c + 1) % _MOD2
-            p1 = (p1 * _BASE1) % _MOD1
-            p2 = (p2 * _BASE2) % _MOD2
-            ah1(h1)
-            ah2(h2)
-            ap1(p1)
-            ap2(p2)
-        self._sym.extend(symbols)
+        """Append symbols, growing the hash tables one numpy chunk at a time."""
+        data = bytes(symbols)
+        if not data:
+            return
+        with self._lock:
+            pw = _powers(len(self._sym) + len(data) + 1)
+            last = np.array([[self._h1[-1]], [self._h2[-1]]], dtype=np.int64)
+            for lo in range(0, len(data), _CHUNK):
+                c = np.frombuffer(data, dtype=np.uint8, count=min(_CHUNK, len(data) - lo), offset=lo)
+                n = len(c)
+                s = np.cumsum((c + np.int64(1)) * _INV[:, 1 : n + 1], axis=1)
+                s += last
+                s %= _MODS
+                s *= pw[:, 1 : n + 1]
+                s %= _MODS
+                self._h1.frombytes(memoryview(s[0]).cast("B"))
+                self._h2.frombytes(memoryview(s[1]).cast("B"))
+                last = s[:, -1:]
+            self._use_powers(pw)
+            self._sym.extend(data)
 
     def block(self, start: int, length: int) -> tuple[int, int]:
         """Hash pair of the block ``symbols[start : start + length]`` (0-based)."""
@@ -67,30 +134,53 @@ class PrefixHashes:
         v2 = (self._h2[end] - self._h2[start] * self._p2[length]) % _MOD2
         return v1, v2
 
+    def block_keys(self, starts, lengths) -> np.ndarray:
+        """Keys ``(v1 << 31) | v2`` of the blocks at ``starts`` with ``lengths``.
+
+        ``starts`` and ``lengths`` are int arrays (or scalars) that broadcast
+        together; key equality is exactly ``block`` equality.
+        """
+        starts = np.asarray(starts, dtype=np.int64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        ends = starts + lengths
+        keys = np.int64(0)
+        with self._lock:
+            for h, pw, mod in ((self._h1, self._pw[0], _MOD1), (self._h2, self._pw[1], _MOD2)):
+                hv = np.frombuffer(h, dtype=np.int64)
+                keys = (keys << 31) | ((hv[ends] - hv[starts] * pw[lengths]) % mod)  # |.| < 2**62
+        return keys
+
     def equal_blocks(self, a: int, b: int, length: int) -> bool:
         """Exact equality of the two length-``length`` blocks at ``a`` and ``b``.
 
         The hash pair acts as a filter; agreement is always confirmed by a
-        direct comparison of the underlying symbols.
+        direct comparison of the underlying symbols, without copying them.
         """
         if a == b:
             return True
         if self.block(a, length) != self.block(b, length):
             return False
-        return self._sym[a : a + length] == self._sym[b : b + length]
+        with self._lock:
+            return self._sym.startswith(memoryview(self._sym)[b : b + length], a)
 
     def distinct_blocks(self, start: int, length: int, k: int) -> bool:
         """Are the k consecutive length-``length`` blocks from ``start`` pairwise distinct?
 
-        Blocks are bucketed by hash pair; a block sharing a bucket is
-        compared symbol by symbol with every earlier block in it.
+        Blocks are bucketed by hash (one ``block_keys`` batch from
+        ``_BATCH_K`` blocks up, else ``block`` pairs computed as needed); a
+        block sharing a bucket is confirmed through ``equal_blocks`` against
+        every earlier block in it.
         """
-        buckets: dict[tuple[int, int], list[int]] = {}
+        keys = None
+        if k >= _BATCH_K:
+            keys = self.block_keys(np.arange(start, start + k * length, length), length).tolist()
+        buckets: dict = {}
         for t in range(k):
             a = start + t * length
-            bucket = buckets.setdefault(self.block(a, length), [])
+            # below _BATCH_K, hashes are computed as needed: an early repeat ends the hashing
+            bucket = buckets.setdefault(keys[t] if keys else self.block(a, length), [])
             for other in bucket:
-                if self.symbols(other, length) == self.symbols(a, length):
+                if self.equal_blocks(other, a, length):
                     return False
             bucket.append(a)
         return True

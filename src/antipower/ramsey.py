@@ -14,9 +14,9 @@ and scan.max_avoiding_extension.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
+from multiprocessing import Pool
 
 from .detect import (
     ends_in_anti_power,
@@ -134,13 +134,13 @@ def compute_n(params: SearchParams) -> SearchOutcome:
         deepest, nodes, roots = _search_root((b"", 0, l, k, a, depth, True))
         hits = []
         jobs = [(root, used, l, k, a, cap, False) for root, used in roots]
-        with ProcessPoolExecutor(max_workers=max(1, params.workers)) as pool:
-            for dword, dnodes, hits in pool.map(_search_root, jobs):
+        # leaving the block terminates the workers, running roots included
+        with Pool(processes=max(1, params.workers)) as pool:
+            for dword, dnodes, hits in pool.imap(_search_root, jobs):
                 nodes += dnodes
                 if len(dword) > len(deepest):
                     deepest = dword
                 if hits:  # the first root to reach the cap holds the lex-least cap word
-                    pool.shutdown(cancel_futures=True)
                     break
     else:
         deepest, nodes, hits = _search_root((b"", 0, l, k, a, cap, False))

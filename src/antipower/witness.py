@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from math import comb
 
 from .detect import LengthDeficit, root_power_from_border
-from .sets import prefix_is_k_anti_power
+from .sets import distinct_key_counts, prefix_is_k_anti_power
 from .words import InfiniteWord, Word
 
 DEFAULT_BUDGET = 100_000
 _REPORT_SAMPLE = 24
+_FIRST_FILTER_ROWS = 32  # rows of the first key-count batch; later batches double
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -208,11 +209,21 @@ def extract_power_witness(
         raise BudgetExhaustedError(
             f"budget {budget} leaves no block length above (l+1)*M = {n_threshold} to scan"
         )
+    # the block lengths the scan can visit whose km-prefixes fit under the cap
+    first, last = n_threshold + 1, min(budget + c, x.cap // k)
+    counts: list[int] = []  # distinct block keys of m = first + i, filled in doubling batches
     status: dict[int, bool] = {}
 
     def in_ap(m: int) -> bool:
         if m not in status:
-            status[m] = prefix_is_k_anti_power(x.hashes(k * m), k, m)
+            while len(counts) <= min(m, last) - first:
+                lo = first + len(counts)
+                hi = min(lo + max(_FIRST_FILTER_ROWS, len(counts)), last + 1)
+                counts.extend(distinct_key_counts(x.hashes(k * (hi - 1)), k, lo, hi).tolist())
+            # k distinct keys prove an anti-power; the exact check decides the
+            # rest, and raises the cap error for a prefix past the cap
+            proved = m <= last and counts[m - first] == k
+            status[m] = proved or prefix_is_k_anti_power(x.hashes(k * m), k, m)
         return status[m]
 
     for m in range(n_threshold + 1, budget + 1):

@@ -1,11 +1,41 @@
 """Rolling-hash table: block hashing, extension, and mandatory confirmation."""
 
 import random
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from antipower import ThueMorseWord, Word, naive_is_k_anti_power
+import numpy as np
+import pytest
+
+from antipower import (
+    FibonacciWord,
+    LiteralWord,
+    MaterializationCapError,
+    PeriodicWord,
+    ThueMorseWord,
+    Word,
+    ap_set,
+    extract_power_witness,
+    naive_is_k_anti_power,
+    p_set,
+)
+from antipower import hashing
 from antipower.hashing import PrefixHashes
-from antipower.sets import prefix_is_k_anti_power
+from antipower.sets import distinct_key_counts, prefix_is_k_anti_power
+
+MODULI = ((1_000_003, 2147483647), (1_000_033, 2147483629))
+
+
+def reference_block(data, start, length):
+    """The block hash pair from its definition, in Python ints: an independent oracle."""
+    pair = []
+    for base, mod in MODULI:
+        v = 0
+        for c in data[start : start + length]:
+            v = (v * base + c + 1) % mod
+        pair.append(v)
+    return tuple(pair)
 
 
 class CollidingHashes(PrefixHashes):
@@ -13,6 +43,21 @@ class CollidingHashes(PrefixHashes):
 
     def block(self, start, length):
         return (0, 0)
+
+    def block_keys(self, starts, lengths):
+        return np.zeros(np.broadcast_shapes(np.shape(starts), np.shape(lengths)), dtype=np.int64)
+
+
+class CollidingKeys(PrefixHashes):
+    """Honest scalar hashes, but a batch filter that gives every block the same key."""
+
+    def block_keys(self, starts, lengths):
+        return np.full(np.broadcast_shapes(np.shape(starts), np.shape(lengths)), 7, dtype=np.int64)
+
+
+def with_table(x, table_class):
+    x._hashes = table_class()
+    return x
 
 
 def test_block_hash_equality_matches_block_equality():
@@ -56,7 +101,7 @@ def test_equality_is_exact_even_when_every_hash_collides():
     for k in (2, 3, 4):
         for m in range(1, len(data) // k):
             assert prefix_is_k_anti_power(colliding, k, m) == prefix_is_k_anti_power(honest, k, m)
-    for k in (2, 3, 5):
+    for k in (2, 3, 5, 8, 12):
         for length in range(1, 9):
             for start in range(1, len(data) - k * length + 1, 3):
                 want = naive_is_k_anti_power(Word(data[start : start + k * length], 2), k)
@@ -76,3 +121,152 @@ def test_concurrent_materialization_is_consistent():
         results = list(pool.map(grab, sizes))
     for n, w in zip(sizes, results):
         assert w.symbols == reference.symbols[:n]
+
+
+def test_blocks_match_the_definition_across_build_chunks():
+    rng = random.Random(8)
+    data = bytes(rng.randrange(256) for _ in range(2 * hashing._CHUNK + 77))
+    ph = PrefixHashes(data)
+    for _ in range(300):
+        length = rng.randrange(1, 60)
+        a = rng.randrange(0, len(data) - length)
+        assert ph.block(a, length) == reference_block(data, a, length)
+    # blocks straddling the chunk seams
+    for seam in (hashing._CHUNK, 2 * hashing._CHUNK):
+        for a in range(seam - 5, seam + 1):
+            assert ph.block(a, 9) == reference_block(data, a, 9)
+
+
+def test_block_keys_pack_the_scalar_pairs():
+    rng = random.Random(9)
+    data = bytes(rng.randrange(3) for _ in range(3000))
+    ph = PrefixHashes(data)
+    starts = np.array([rng.randrange(0, 2000) for _ in range(400)])
+    lengths = np.array([rng.randrange(1, 1000) for _ in range(400)])
+    keys = ph.block_keys(starts, lengths).tolist()
+    for a, length, key in zip(starts.tolist(), lengths.tolist(), keys):
+        v1, v2 = ph.block(a, length)
+        assert key == (v1 << 31) | v2
+    # a scalar length broadcasts over many starts
+    assert ph.block_keys(starts, 5).tolist() == [ph.block_keys(a, 5) for a in starts.tolist()]
+
+
+def test_iterators_are_materialized_before_hashing():
+    rng = random.Random(10)
+    data = bytes(rng.randrange(2) for _ in range(32))
+    whole = PrefixHashes(data)
+    from_iter = PrefixHashes(iter(data))
+    grown = PrefixHashes()
+    grown.extend(c for c in data[:20])
+    grown.extend(iter(data[20:]))
+    for ph in (from_iter, grown):
+        assert len(ph) == len(whole) == 32
+        assert ph.symbols(0, 32) == data
+        for length in (1, 4, 11):
+            for start in range(32 - length + 1):
+                assert ph.block(start, length) == whole.block(start, length)
+
+
+def test_many_small_extends_equal_one_bulk_build():
+    rng = random.Random(11)
+    data = bytes(rng.randrange(3) for _ in range(hashing._CHUNK + 4000))
+    whole = PrefixHashes(data)
+    grown = PrefixHashes()
+    while len(grown) < len(data):
+        step = rng.choice((1, 2, 3, 17, 250, 4000))
+        grown.extend(data[len(grown) : len(grown) + step])
+    assert len(grown) == len(data)
+    assert grown._h1 == whole._h1 and grown._h2 == whole._h2
+    starts = np.arange(0, len(data) - 300, 97)
+    assert (grown.block_keys(starts, 300) == whole.block_keys(starts, 300)).all()
+
+
+def test_power_tables_grow_safely_under_concurrent_builds(monkeypatch):
+    # start from an empty shared table, so that every thread has to grow it
+    monkeypatch.setattr(hashing, "_POWERS", np.ones((2, 1), dtype=np.int64))
+    rng = random.Random(12)
+    datas = [bytes(rng.randrange(4) for _ in range(n)) for n in (5000, 20000, 700, 41000, 13000, 9000)]
+    barrier = threading.Barrier(len(datas))
+
+    def build(data):
+        barrier.wait(timeout=60)
+        ph = PrefixHashes()
+        for cut in range(0, len(data), 3001):
+            ph.extend(data[cut : cut + 3001])
+        return ph
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(datas)) as pool:
+            tables = list(pool.map(build, datas, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for data, ph in zip(datas, tables):
+        serial = PrefixHashes(data)
+        assert ph._h1 == serial._h1 and ph._h2 == serial._h2
+        for _ in range(50):
+            length = rng.randrange(1, 400)
+            a = rng.randrange(0, len(data) - length)
+            assert ph.block(a, length) == serial.block(a, length) == reference_block(data, a, length)
+
+
+def test_one_word_hashed_and_queried_from_many_threads():
+    # growth of a word's table must not break batch keys or confirmations
+    # running at the same time on the same table
+    x = ThueMorseWord()
+    t = ThueMorseWord().prefix(60000).symbols
+
+    def work(n):
+        ph = x.hashes(n)
+        m = n // 3
+        counts = distinct_key_counts(ph, 3, m - 20, m)
+        exact = [x.hashes(n).distinct_blocks(0, r, 3) for r in range(m - 20, m)]
+        same = x.hashes(n).equal_blocks(0, m, m) == (t[:m] == t[m : 2 * m])
+        return counts.tolist(), exact, same
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            sizes = [300 + 997 * i for i in range(60)]
+            results = list(pool.map(work, sizes, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for n, (counts, exact, same) in zip(sizes, results):
+        m = n // 3
+        assert same
+        for r, c, e in zip(range(m - 20, m), counts, exact):
+            assert e == naive_is_k_anti_power(Word(t[: 3 * r], 2), 3)
+            assert 1 <= c <= 3
+            if c == 3:  # three distinct keys prove an anti-power
+                assert e
+
+
+def test_shared_key_filter_is_only_a_filter():
+    # a batch filter that gives every block the same key must not change a
+    # single answer: every row then goes to the exact checks
+    for make, k, l, budget in ((ThueMorseWord, 3, 3, 150), (FibonacciWord, 5, 2, 200)):
+        for table_class in (CollidingKeys, CollidingHashes):
+            assert ap_set(with_table(make(), table_class), k, 60).members == ap_set(make(), k, 60).members
+            assert p_set(with_table(make(), table_class), k, 60).members == p_set(make(), k, 60).members
+            fake = extract_power_witness(with_table(make(), table_class), k, l, budget)
+            honest = extract_power_witness(make(), k, l, budget)
+            assert type(fake) is type(honest)
+            assert fake.to_json() == honest.to_json()
+    periodic = lambda: PeriodicWord(Word.from_text("0010"))  # noqa: E731
+    literal = lambda: LiteralWord(Word.from_text("01"), Word.from_text("1"))  # noqa: E731
+    for make in (periodic, literal):
+        for k in (1, 2, 4):
+            assert ap_set(with_table(make(), CollidingHashes), k, 40).members == ap_set(make(), k, 40).members
+            assert p_set(with_table(make(), CollidingHashes), k, 40).members == p_set(make(), k, 40).members
+
+
+def test_geometric_hash_growth_stays_under_the_cap():
+    x = ThueMorseWord(cap=100)
+    assert len(x.hashes(40)) == 40
+    assert len(x.hashes(41)) == 80  # doubled
+    assert len(x.hashes(81)) == 100  # clamped to the cap, no error
+    assert x.hashes(100) is x.hashes(1)
+    with pytest.raises(MaterializationCapError):
+        x.hashes(101)

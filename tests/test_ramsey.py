@@ -1,5 +1,6 @@
 """Exhaustive N(l,k) computation, bounds, and the explicit lower-bound word."""
 
+import time
 from itertools import product
 
 import pytest
@@ -105,6 +106,17 @@ def test_parallel_matches_sequential():
     # the fan-out stops at the first root that reaches the cap: beyond the
     # sequential path it only spends the frontier's own 2 + 4 + 8 + 16 tries
     assert 0 <= capped_par.nodes_explored - capped_seq.nodes_explored <= 2 + 4 + 8 + 16
+
+
+def test_capped_parallel_search_does_not_wait_for_running_roots():
+    # the first root reaches the cap within milliseconds while the second
+    # root's subtree takes seconds; leaving the pool must stop that worker
+    started = time.perf_counter()
+    out = compute_n(SearchParams(l=5, k=5, length_cap=48, parallel_depth=3, workers=2))
+    elapsed = time.perf_counter() - started
+    assert (out.status, out.value, out.nodes_explored) == ("lower-bound", 48, 1936)
+    assert out.max_avoiding_word.to_text() == "000010000100010000100001000100010000100001000100"
+    assert elapsed < 2.0, elapsed
 
 
 @pytest.mark.parametrize("parallel_depth", [0, 3])

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from antipower import (
+    FibonacciWord,
     IndexSet,
     LiteralWord,
     PeriodicWord,
@@ -52,6 +53,25 @@ def test_sets_match_naive_prefix_checks():
                 assert (m in ap) == naive_is_k_anti_power(w[: k * m], k)
                 assert (m in pw) == naive_is_k_power(w[: k * m], k)
             assert not set(ap) & set(pw)
+
+
+def test_sets_match_naive_oracles_exhaustively():
+    words = (
+        ThueMorseWord(),
+        FibonacciWord(),
+        PeriodicWord(Word.from_text("0120121")),
+        PeriodicWord(Word.from_text("001")),
+        LiteralWord(Word.from_text("0110"), Word.from_text("01")),
+    )
+    horizon = 60
+    for x in words:
+        for k in range(2, 7):
+            w = x.prefix(k * horizon)
+            ap = set(ap_set(x, k, horizon).members)
+            pw = set(p_set(x, k, horizon).members)
+            for m in range(1, horizon + 1):
+                assert (m in ap) == naive_is_k_anti_power(w[: k * m], k), (x.name, k, m)
+                assert (m in pw) == naive_is_k_power(w[: k * m], k), (x.name, k, m)
 
 
 def test_ap_min_values():
