@@ -38,7 +38,6 @@ _BASES = np.array([[_BASE1], [_BASE2]], dtype=np.int64)
 
 _CHUNK = 1 << 14  # symbols per build step
 _POW_SLACK = 1 << 20  # the power table grows by at most this beyond the request
-_BATCH_K = 16  # distinct_blocks hashes this many blocks or more in one batch
 
 
 def _doubling(table: np.ndarray, have: int, bases: np.ndarray) -> np.ndarray:
@@ -116,7 +115,7 @@ class PrefixHashes:
             for lo in range(0, len(data), _CHUNK):
                 c = np.frombuffer(data, dtype=np.uint8, count=min(_CHUNK, len(data) - lo), offset=lo)
                 n = len(c)
-                s = np.cumsum((c + np.int64(1)) * _INV[:, 1 : n + 1], axis=1)
+                s = np.cumsum((c.astype(np.int64) + 1) * _INV[:, 1 : n + 1], axis=1)
                 s += last
                 s %= _MODS
                 s *= pw[:, 1 : n + 1]
@@ -144,10 +143,15 @@ class PrefixHashes:
         lengths = np.asarray(lengths, dtype=np.int64)
         ends = starts + lengths
         keys = np.int64(0)
+        # the lock must outlive every buffer view of h: extend cannot resize
+        # an array that still exports its buffer
         with self._lock:
             for h, pw, mod in ((self._h1, self._pw[0], _MOD1), (self._h2, self._pw[1], _MOD2)):
                 hv = np.frombuffer(h, dtype=np.int64)
-                keys = (keys << 31) | ((hv[ends] - hv[starts] * pw[lengths]) % mod)  # |.| < 2**62
+                try:
+                    keys = (keys << 31) | ((hv[ends] - hv[starts] * pw[lengths]) % mod)  # |.| < 2**62
+                finally:
+                    del hv  # also when indexing raises, so no traceback keeps the view
         return keys
 
     def equal_blocks(self, a: int, b: int, length: int) -> bool:
@@ -166,19 +170,14 @@ class PrefixHashes:
     def distinct_blocks(self, start: int, length: int, k: int) -> bool:
         """Are the k consecutive length-``length`` blocks from ``start`` pairwise distinct?
 
-        Blocks are bucketed by hash (one ``block_keys`` batch from
-        ``_BATCH_K`` blocks up, else ``block`` pairs computed as needed); a
-        block sharing a bucket is confirmed through ``equal_blocks`` against
-        every earlier block in it.
+        Blocks are bucketed by hash pair, computed as needed so that an early
+        repeat ends the hashing; a block sharing a bucket is confirmed through
+        ``equal_blocks`` against every earlier block in it.
         """
-        keys = None
-        if k >= _BATCH_K:
-            keys = self.block_keys(np.arange(start, start + k * length, length), length).tolist()
-        buckets: dict = {}
+        buckets: dict[tuple[int, int], list[int]] = {}
         for t in range(k):
             a = start + t * length
-            # below _BATCH_K, hashes are computed as needed: an early repeat ends the hashing
-            bucket = buckets.setdefault(keys[t] if keys else self.block(a, length), [])
+            bucket = buckets.setdefault(self.block(a, length), [])
             for other in bucket:
                 if self.equal_blocks(other, a, length):
                     return False

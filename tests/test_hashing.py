@@ -101,7 +101,7 @@ def test_equality_is_exact_even_when_every_hash_collides():
     for k in (2, 3, 4):
         for m in range(1, len(data) // k):
             assert prefix_is_k_anti_power(colliding, k, m) == prefix_is_k_anti_power(honest, k, m)
-    for k in (2, 3, 5, 8, 12):
+    for k in (2, 3, 5):
         for length in range(1, 9):
             for start in range(1, len(data) - k * length + 1, 3):
                 want = naive_is_k_anti_power(Word(data[start : start + k * length], 2), k)
@@ -149,6 +149,17 @@ def test_block_keys_pack_the_scalar_pairs():
         assert key == (v1 << 31) | v2
     # a scalar length broadcasts over many starts
     assert ph.block_keys(starts, 5).tolist() == [ph.block_keys(a, 5) for a in starts.tolist()]
+
+
+def test_a_failed_batch_query_leaves_the_table_extendable():
+    ph = PrefixHashes(b"\x00\x01" * 10)
+    try:
+        ph.block_keys([15], 10)  # runs past the end
+    except IndexError as exc:
+        kept = exc  # its traceback keeps the failed query's frame alive
+    ph.extend(b"\x01" * 5)
+    assert len(ph) == 25 and kept.__traceback__ is not None
+    assert ph.block(15, 10) == PrefixHashes(b"\x00\x01" * 10 + b"\x01" * 5).block(15, 10)
 
 
 def test_iterators_are_materialized_before_hashing():
