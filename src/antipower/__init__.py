@@ -51,7 +51,6 @@ from .sets import (
 )
 from .witness import (
     AntiPowerReport,
-    BlockGrid,
     BudgetExhaustedError,
     WitnessEvidence,
     WitnessVerificationError,
@@ -70,11 +69,7 @@ from .words import (
     SparseAvoiderWord,
     ThueMorseWord,
     Word,
-    fibonacci_prefix,
     parse_generator,
-    recurrent_avoider_symbol,
-    sparse_avoider_symbol,
-    thue_morse_prefix,
 )
 
 __version__ = "0.1.0"
@@ -83,7 +78,6 @@ __all__ = [
     "ANTI_POWER_SET",
     "AntiPowerReport",
     "BlockFactorization",
-    "BlockGrid",
     "BudgetExhaustedError",
     "DEFAULT_CAP",
     "DensityEstimate",
@@ -114,7 +108,6 @@ __all__ = [
     "compute_n",
     "density_estimate",
     "extract_power_witness",
-    "fibonacci_prefix",
     "find_anti_power_factor",
     "find_anti_power_in_word",
     "is_k_anti_power",
@@ -129,10 +122,7 @@ __all__ = [
     "naive_is_k_power",
     "p_set",
     "parse_generator",
-    "recurrent_avoider_symbol",
     "root_power_from_border",
-    "sparse_avoider_symbol",
     "theoretical_upper_bound",
-    "thue_morse_prefix",
     "verify_witness",
 ]

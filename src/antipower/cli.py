@@ -93,11 +93,19 @@ def _cmd_ap_table(args) -> int:
     return EXIT_OK
 
 
+def _finite_literal(target: str) -> Word | None:
+    """The finite word of a literal:<ascii> target, or None for a generator name."""
+    name, _, text = target.partition(":")
+    if name == "literal" and ":" not in text:
+        return Word.from_text(text)
+    return None
+
+
 def _check_target_word(args) -> Word:
     """Resolve the finite word a non-scan check applies to."""
-    name, _, text = args.target.partition(":")
-    if name == "literal" and text.count(":") == 0:
-        return Word.from_text(text)
+    w = _finite_literal(args.target)
+    if w is not None:
+        return w
     x = parse_generator(args.target, cap=args.cap)
     if args.length is None:
         raise ValueError("checking a generator needs --length for the prefix to test")
@@ -112,9 +120,8 @@ def _cmd_check(args) -> int:
     if args.mode == "scan":
         if args.limit is not None and args.limit < 1:
             raise ValueError("scan bound must be positive")
-        name, _, text = args.target.partition(":")
-        if name == "literal" and text.count(":") == 0:
-            w = Word.from_text(text)
+        w = _finite_literal(args.target)
+        if w is not None:
             if args.limit is not None:
                 w = w[: args.limit]
             hit = find_anti_power_in_word(w, k)

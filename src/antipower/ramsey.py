@@ -46,6 +46,8 @@ class SearchParams:
             raise ValueError("alphabet_size must be in 2..256")
         if self.length_cap < 1:
             raise ValueError("length_cap must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -134,14 +136,15 @@ def compute_n(params: SearchParams) -> SearchOutcome:
         deepest, nodes, roots = _search_root((b"", 0, l, k, a, depth, True))
         hits = []
         jobs = [(root, used, l, k, a, cap, False) for root, used in roots]
-        # leaving the block terminates the workers, running roots included
-        with Pool(processes=max(1, params.workers)) as pool:
-            for dword, dnodes, hits in pool.imap(_search_root, jobs):
-                nodes += dnodes
-                if len(dword) > len(deepest):
-                    deepest = dword
-                if hits:  # the first root to reach the cap holds the lex-least cap word
-                    break
+        if jobs:  # Pool(0) raises, and a dead frontier leaves nothing to fan out
+            # leaving the block terminates the workers, running roots included
+            with Pool(processes=min(params.workers, len(jobs))) as pool:
+                for dword, dnodes, hits in pool.imap(_search_root, jobs):
+                    nodes += dnodes
+                    if len(dword) > len(deepest):
+                        deepest = dword
+                    if hits:  # the first root to reach the cap holds the lex-least cap word
+                        break
     else:
         deepest, nodes, hits = _search_root((b"", 0, l, k, a, cap, False))
 

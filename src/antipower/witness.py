@@ -36,27 +36,6 @@ class WitnessVerificationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BlockGrid:
-    """The first k blocks of x at every radius of a window of radii.
-
-    Cell (j, r) is x_{jr+1} ... x_{(j+1)r}, so row j at radius r has length
-    r and the row-0..k-1 concatenation is the kr-prefix of x.
-    """
-
-    x: InfiniteWord
-    k: int
-    window_start: int
-    window_end: int
-
-    def block(self, j: int, r: int) -> Word:
-        if not 0 <= j <= self.k - 1:
-            raise ValueError(f"row must be in 0..{self.k - 1}")
-        if not self.window_start <= r <= self.window_end:
-            raise ValueError("radius outside the window")
-        return self.x.prefix((j + 1) * r)[j * r :]
-
-
-@dataclass(frozen=True)
 class WitnessEvidence:
     """A root u with u**l occurring in x, plus the pigeonhole indices behind it."""
 
@@ -195,10 +174,12 @@ def extract_power_witness(
 ) -> WitnessEvidence | AntiPowerReport:
     """One certified branch of the power/anti-power dichotomy for x.
 
-    Scans block lengths m = (l+1)M + 1 .. budget.  The first window
-    {m, ..., m + C(k,2)} free of anti-power indexes yields a WitnessEvidence
-    with u**l a factor of x.  If every scanned window is blocked, the
-    confirmed anti-power prefix lengths are reported instead.
+    Scans window starts m = (l+1)M + 1 .. budget in one forward pass over
+    the block lengths.  The first window {m, ..., m + C(k,2)} free of
+    anti-power indexes yields a WitnessEvidence with u**l a factor of x.
+    If every scanned window is blocked, the pass ends at the first
+    anti-power length >= budget and the confirmed anti-power prefix lengths
+    are reported instead.
     """
     if k < 2 or l < 1:
         raise ValueError("need k >= 2 and l >= 1")
@@ -212,28 +193,27 @@ def extract_power_witness(
     # the block lengths the scan can visit whose km-prefixes fit under the cap
     first, last = n_threshold + 1, min(budget + c, x.cap // k)
     counts: list[int] = []  # distinct block keys of m = first + i, filled in doubling batches
-    status: dict[int, bool] = {}
-
-    def in_ap(m: int) -> bool:
-        if m not in status:
-            while len(counts) <= min(m, last) - first:
-                lo = first + len(counts)
-                hi = min(lo + max(_FIRST_FILTER_ROWS, len(counts)), last + 1)
-                counts.extend(distinct_key_counts(x.hashes(k * (hi - 1)), k, lo, hi).tolist())
-            # k distinct keys prove an anti-power; the exact check decides the
-            # rest, and raises the cap error for a prefix past the cap
-            proved = m <= last and counts[m - first] == k
-            status[m] = proved or prefix_is_k_anti_power(x.hashes(k * m), k, m)
-        return status[m]
-
-    for m in range(n_threshold + 1, budget + 1):
-        if not any(in_ap(t) for t in range(m, m + c + 1)):
-            return _extract_from_window(x, k, l, m)
-    lengths = sorted(m for m, is_ap in status.items() if is_ap)
+    found: list[int] = []  # anti-power lengths, in increasing order
+    run = 0  # consecutive non-anti-power lengths ending at m
+    for m in range(first, budget + c + 1):
+        if m <= last and m == first + len(counts):
+            hi = min(m + max(_FIRST_FILTER_ROWS, len(counts)), last + 1)
+            counts.extend(distinct_key_counts(x.hashes(k * (hi - 1)), k, m, hi).tolist())
+        # k distinct keys prove an anti-power; the exact check decides the
+        # rest, and raises the cap error for a prefix past the cap
+        if (m <= last and counts[m - first] == k) or prefix_is_k_anti_power(x.hashes(k * m), k, m):
+            found.append(m)
+            if m >= budget:  # it blocks every window left to scan
+                break
+            run = 0
+        else:
+            run += 1
+            if run > c:  # lengths m - c .. m are a window free of anti-powers
+                return _extract_from_window(x, k, l, m - c)
     return AntiPowerReport(
         k=k,
         l=l,
         scanned_to=budget,
-        anti_power_lengths=tuple(lengths[:_REPORT_SAMPLE]),
-        total_found=len(lengths),
+        anti_power_lengths=tuple(found[:_REPORT_SAMPLE]),
+        total_found=len(found),
     )

@@ -5,6 +5,10 @@ size).  Infinite words are 1-based: x = x_1 x_2 x_3 ...  Each generator's
 ``symbol_at`` is a pure function of the generator and the position; prefix
 materialization caches symbols internally but is observationally pure.
 
+Ultimately periodic words head . tail^omega, the shape of every word that
+avoids 3-anti-powers, come from one generator, ``LiteralWord``, which tiles
+the tail in bulk; ``PeriodicWord`` is the case with an empty head.
+
 Memory: a hashed prefix costs a word ~19 bytes per symbol (its symbol
 buffer, the hash table's copy of it and two int64 hash arrays), plus 16
 bytes per symbol in the power table every word shares (tracemalloc,
@@ -112,12 +116,18 @@ class Word:
             return f"Word({list(self.symbols)!r})"
 
 
+def _label(w: Word) -> str:
+    """A word as generator names spell it: ASCII for alphabets up to 26, else comma-separated integers."""
+    return w.to_text() if w.alphabet_size <= 26 else ",".join(map(str, w.symbols))
+
+
 class InfiniteWord:
     """Deterministic indexable symbol source with cached prefix materialization.
 
-    Subclasses implement ``_compute(n)`` (1-based, pure).  ``prefix`` and
-    ``hashes`` cache materialized symbols; repeated calls agree on the common
-    prefix, and caching is invisible to callers (safe under concurrency).
+    Subclasses implement ``_compute(n)`` (1-based, pure) or ``_bulk(lo, hi)``;
+    each defaults to the other.  ``prefix`` and ``hashes`` cache materialized
+    symbols; repeated calls agree on the common prefix, and caching is
+    invisible to callers (safe under concurrency).
     """
 
     alphabet_size = 2
@@ -130,10 +140,10 @@ class InfiniteWord:
         self._lock = threading.Lock()
 
     def _compute(self, n: int) -> int:
-        raise NotImplementedError
+        return self._bulk(n, n)[0]
 
     def _bulk(self, lo: int, hi: int) -> bytes:
-        """Symbols at positions lo..hi inclusive; override when a batch form is cheaper."""
+        """Symbols at positions lo..hi inclusive."""
         return bytes(self._compute(n) for n in range(lo, hi + 1))
 
     def symbol_at(self, n: int) -> int:
@@ -207,35 +217,9 @@ class FibonacciWord(InfiniteWord):
         while len(self._cur) < n:
             self._prev, self._cur = self._cur, self._cur + self._prev
 
-    def _compute(self, n: int) -> int:
-        self._grow(n)
-        return self._cur[n - 1]
-
     def _bulk(self, lo: int, hi: int) -> bytes:
         self._grow(hi)
         return self._cur[lo - 1 : hi]
-
-
-class PeriodicWord(InfiniteWord):
-    """seed repeated forever: x_n = seed[(n - 1) mod |seed|]."""
-
-    def __init__(self, seed: Word, cap: int = DEFAULT_CAP) -> None:
-        if len(seed) == 0:
-            raise ValueError("periodic seed must be non-empty")
-        super().__init__(cap)
-        self.seed = seed
-        self.alphabet_size = seed.alphabet_size
-        self.name = f"periodic:{seed.to_text()}"
-
-    def _compute(self, n: int) -> int:
-        return self.seed.symbols[(n - 1) % len(self.seed)]
-
-    def _bulk(self, lo: int, hi: int) -> bytes:
-        p = len(self.seed)
-        reps = (hi - lo) // p + 2
-        tiled = self.seed.symbols * reps
-        start = (lo - 1) % p
-        return tiled[start : start + (hi - lo + 1)]
 
 
 @dataclass(frozen=True)
@@ -319,36 +303,26 @@ class LiteralWord(InfiniteWord):
         self.head = head
         self.tail = tail
         self.alphabet_size = max(head.alphabet_size, tail.alphabet_size)
-        self.name = f"literal:{head.to_text()}:{tail.to_text()}"
+        self.name = f"literal:{_label(head)}:{_label(tail)}"
 
-    def _compute(self, n: int) -> int:
-        if n <= len(self.head):
-            return self.head.symbols[n - 1]
-        return self.tail.symbols[(n - len(self.head) - 1) % len(self.tail)]
-
-
-def thue_morse_prefix(n: int) -> Word:
-    """First n symbols of the Thue-Morse word."""
-    return ThueMorseWord().prefix(n)
+    def _bulk(self, lo: int, hi: int) -> bytes:
+        head, tail = self.head.symbols, self.tail.symbols
+        first = max(lo, len(head) + 1)  # first position in the tail part
+        count = max(0, hi - first + 1)
+        start = (first - len(head) - 1) % len(tail)
+        tiled = tail * (count // len(tail) + 2)
+        return head[lo - 1 : hi] + tiled[start : start + count]
 
 
-def fibonacci_prefix(n: int) -> Word:
-    """First n symbols of the Fibonacci word (fixed point of 0 -> 01, 1 -> 0)."""
-    return FibonacciWord().prefix(n)
+class PeriodicWord(LiteralWord):
+    """seed repeated forever: x_n = seed[(n - 1) mod |seed|], a literal word with an empty head."""
 
-
-def sparse_avoider_symbol(n: int, config: GeneratorConfig | None = None) -> int:
-    """Symbol at 1-based position n of the sparse 4-anti-power avoider."""
-    if n < 1:
-        raise ValueError("positions are 1-based")
-    return SparseAvoiderWord(config)._compute(n)
-
-
-def recurrent_avoider_symbol(n: int) -> int:
-    """Symbol at 1-based position n of the recurrent 6-anti-power avoider."""
-    if n < 1:
-        raise ValueError("positions are 1-based")
-    return RecurrentAvoiderWord()._compute(n)
+    def __init__(self, seed: Word, cap: int = DEFAULT_CAP) -> None:
+        if len(seed) == 0:
+            raise ValueError("periodic seed must be non-empty")
+        super().__init__(Word(), seed, cap)
+        self.seed = seed
+        self.name = f"periodic:{_label(seed)}"
 
 
 def parse_generator(text: str, cap: int = DEFAULT_CAP) -> InfiniteWord:

@@ -138,6 +138,11 @@ def test_search_n(capsys):
     assert result["status"] == "lower-bound" and result["N_or_bound"] == 1100
 
 
+def test_search_n_rejects_workers_below_one(capsys):
+    code, out, err = run(capsys, "search-n", "3", "3", "--parallel", "--workers", "0")
+    assert code == 2 and out == "" and "workers" in err
+
+
 def test_n_table(capsys):
     code, out, _ = run(capsys, "n-table", "--l-range", "2-3", "--k-range", "2-3")
     assert code == 0

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from antipower import ramsey
 from antipower import (
     SearchParams,
     Word,
@@ -174,6 +175,36 @@ def test_params_validation():
         SearchParams(l=2, k=2, length_cap=0)
     with pytest.raises(ValueError):  # words store one byte per symbol: refuse before searching
         SearchParams(l=3, k=3, alphabet_size=300)
+
+
+def test_worker_pool_is_bounded_by_the_frontier(monkeypatch):
+    with pytest.raises(ValueError):
+        SearchParams(l=3, k=3, workers=0)
+    sizes = []
+
+    class RecordingPool:  # runs the roots in this process and records the size asked for
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(ramsey, "Pool", RecordingPool)
+    roots = ramsey._search_root((b"", 0, 4, 3, 2, 3, True))[2]
+    seq = compute_n(SearchParams(l=4, k=3))
+    par = compute_n(SearchParams(l=4, k=3, parallel_depth=3, workers=10**6))
+    assert sizes == [len(roots)] and 1 <= len(roots) <= 5
+    assert (par.status, par.value, par.max_avoiding_word) == (seq.status, seq.value, seq.max_avoiding_word)
+    # every binary word of length 2 holds a square or a 2-anti-power: no roots, no pool
+    out = compute_n(SearchParams(l=2, k=2, parallel_depth=3, workers=10**6))
+    assert sizes == [len(roots)]
+    assert (out.status, out.value) == ("exact", 2)
 
 
 def test_outcome_serialization():

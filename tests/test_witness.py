@@ -1,13 +1,15 @@
 """Power-witness extraction and the executable dichotomy."""
 
 import random
+from math import comb
 
 import pytest
 
 from antipower import (
     AntiPowerReport,
-    BlockGrid,
     BudgetExhaustedError,
+    FibonacciWord,
+    LiteralWord,
     PeriodicWord,
     ThueMorseWord,
     Word,
@@ -76,6 +78,32 @@ def test_random_periodic_words_always_certify_one_branch():
                 assert naive_is_k_anti_power(x.prefix(3 * m), 3)
 
 
+def test_scan_finds_the_first_free_window_by_naive_oracle():
+    # a window is C(k,2)+1 consecutive block lengths with no anti-power
+    # prefix; the scan must return the first one, or report every
+    # anti-power length up to the first one at or past the budget
+    rng = random.Random(5)
+    words = [ThueMorseWord(), FibonacciWord()]
+    for _ in range(40):
+        head = bytes(rng.randrange(3) for _ in range(rng.randrange(0, 40)))
+        tail = bytes(rng.randrange(3) for _ in range(rng.randrange(1, 12)))
+        words.append(LiteralWord(Word(head, 3), Word(tail, 3)))
+    for x in words:
+        for k, l in ((2, 1), (3, 1), (3, 2)):
+            c = comb(k, 2)
+            first, budget = (l + 1) * (k - 1) * c + 1, 60
+            is_ap = {m: naive_is_k_anti_power(x.prefix(k * m), k) for m in range(first, budget + c + 1)}
+            starts = [m for m in range(first, budget + 1) if not any(is_ap[t] for t in range(m, m + c + 1))]
+            res = extract_power_witness(x, k, l, budget=budget)
+            if starts:
+                assert isinstance(res, WitnessEvidence) and res.window_start == starts[0]
+            else:
+                end = min(m for m in is_ap if m >= budget and is_ap[m])
+                lengths = [m for m in range(first, end + 1) if is_ap[m]]
+                assert isinstance(res, AntiPowerReport)
+                assert (list(res.anti_power_lengths), res.total_found) == (lengths[:24], len(lengths))
+
+
 def test_avoider_words_force_the_power_branch():
     # a word with no 4-anti-power factors has an empty anti-power prefix set,
     # so the very first window is free and a root must come out
@@ -101,17 +129,6 @@ def test_overlap_free_word_forces_the_report_branch_at_order_two():
     assert isinstance(rep, AntiPowerReport)
     assert rep.anti_power_lengths[0] == 5  # first block length past (l+1)*M = 4
     assert rep.total_found == 196  # one confirmed anti-power per scanned window start
-
-
-def test_block_grid_cells():
-    grid = BlockGrid(x=ThueMorseWord(), k=3, window_start=5, window_end=8)
-    t = ThueMorseWord().prefix(24)
-    assert grid.block(0, 5) == t[0:5]
-    assert grid.block(2, 8) == t[16:24]
-    with pytest.raises(ValueError):
-        grid.block(3, 5)
-    with pytest.raises(ValueError):
-        grid.block(0, 9)
 
 
 def test_witness_serialization_schema():

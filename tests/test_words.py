@@ -12,11 +12,7 @@ from antipower import (
     SparseAvoiderWord,
     ThueMorseWord,
     Word,
-    fibonacci_prefix,
     parse_generator,
-    recurrent_avoider_symbol,
-    sparse_avoider_symbol,
-    thue_morse_prefix,
 )
 
 TM_46 = "0110100110010110100101100110100110010110011010"
@@ -61,9 +57,9 @@ def test_word_slicing_and_concat():
 
 
 def test_thue_morse_prefix_known_expansion():
-    assert thue_morse_prefix(0).to_text() == ""
-    assert thue_morse_prefix(16).to_text() == "0110100110010110"
-    assert thue_morse_prefix(46).to_text() == TM_46
+    assert ThueMorseWord().prefix(0).to_text() == ""
+    assert ThueMorseWord().prefix(16).to_text() == "0110100110010110"
+    assert ThueMorseWord().prefix(46).to_text() == TM_46
 
 
 def test_thue_morse_recurrence():
@@ -76,10 +72,10 @@ def test_thue_morse_recurrence():
 
 
 def test_fibonacci_prefix_matches_morphism_oracle():
-    assert fibonacci_prefix(1).to_text() == "0"
-    assert fibonacci_prefix(7).to_text() == "0100101"
-    assert fibonacci_prefix(13).to_text() == "0100101001001"
-    assert fibonacci_prefix(500).to_text() == fib_by_morphism(500)
+    assert FibonacciWord().prefix(1).to_text() == "0"
+    assert FibonacciWord().prefix(7).to_text() == "0100101"
+    assert FibonacciWord().prefix(13).to_text() == "0100101001001"
+    assert FibonacciWord().prefix(500).to_text() == fib_by_morphism(500)
 
 
 def test_periodic_word():
@@ -91,13 +87,14 @@ def test_periodic_word():
 
 
 def test_sparse_avoider_symbols():
-    assert sparse_avoider_symbol(1) == 1
-    assert sparse_avoider_symbol(5) == 1
-    assert sparse_avoider_symbol(7) == 0
-    marks = [n for n in range(1, 700) if sparse_avoider_symbol(n)]
+    x = SparseAvoiderWord()
+    assert x.symbol_at(1) == 1
+    assert x.symbol_at(5) == 1
+    assert x.symbol_at(7) == 0
+    marks = [n for n in range(1, 700) if x.symbol_at(n)]
     assert marks == [1, 5, 25, 125, 625]
-    cfg = GeneratorConfig(alpha1=3, growth=6)
-    marks = [n for n in range(1, 700) if sparse_avoider_symbol(n, cfg)]
+    x = SparseAvoiderWord(GeneratorConfig(alpha1=3, growth=6))
+    marks = [n for n in range(1, 700) if x.symbol_at(n)]
     assert marks == [3, 18, 108, 648]
 
 
@@ -124,8 +121,8 @@ def test_generator_config_validation():
 
 
 def test_recurrent_avoider_expansions():
-    assert recurrent_avoider_symbol(1) == 0
     x = RecurrentAvoiderWord()
+    assert x.symbol_at(1) == 0
     assert x.prefix(5).to_text() == "01110"
     assert x.prefix(25).to_text() == "01110" + "1" * 15 + "01110"
 
@@ -146,6 +143,19 @@ def test_literal_word():
     assert x.prefix(5).to_text() == "10101"
     with pytest.raises(ValueError):
         LiteralWord(Word.from_text("0"), Word.from_text(""))
+
+
+def test_generators_over_large_alphabets():
+    # generator names spell words over more than 26 letters as comma-separated integers
+    x = PeriodicWord(Word(bytes([30, 1]), 31))
+    assert x.name == "periodic:30,1"
+    assert list(x.prefix(5)) == [30, 1, 30, 1, 30]
+    head, tail = bytes([200, 7, 7]), bytes([0, 255, 31])
+    y = LiteralWord(Word(head, 256), Word(tail, 256))
+    assert y.name == "literal:200,7,7:0,255,31"
+    # grown in uneven steps, so each step starts inside the head or at another tail offset
+    for n in (1, 2, 4, 5, 9, 10, 31, 100):
+        assert y.prefix(n).symbols == (head + tail * n)[:n]
 
 
 @pytest.mark.parametrize(
@@ -171,7 +181,8 @@ def test_prefix_consistency(spec):
 
 
 def test_symbol_at_agrees_with_prefix():
-    for spec in ("thue-morse", "fibonacci", "sparse-avoider", "recurrent-avoider"):
+    specs = ("thue-morse", "fibonacci", "sparse-avoider", "recurrent-avoider", "periodic:011", "literal:0110:01")
+    for spec in specs:
         x = parse_generator(spec)
         w = x.prefix(200).symbols
         assert all(x.symbol_at(n) == w[n - 1] for n in range(1, 201))
