@@ -64,7 +64,7 @@ def _cmd_generate(args) -> int:
     w = x.prefix(args.length)
     if args.format == "json":
         result = {"generator": x.name, "length": args.length, "word": w.to_json_value()}
-        print(_envelope("generate", {"generator": args.generator, "length": args.length}, result, started))
+        print(_envelope("generate", {"generator": x.name, "length": args.length}, result, started))
     else:
         print(w.to_text())
     return EXIT_OK
@@ -85,7 +85,7 @@ def _cmd_ap_table(args) -> int:
                 {"k": k, "m": m, "length": None if m is None else k * m} for k, m in rows
             ],
         }
-        print(_envelope("ap-table", {"generator": args.generator, "orders": args.orders}, result, started))
+        print(_envelope("ap-table", {"generator": x.name, "orders": args.orders}, result, started))
     else:
         print("k,m,length")
         for k, m in rows:
@@ -153,14 +153,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_search_n(args) -> int:
     started = time.monotonic()
-    params = SearchParams(
-        l=args.l,
-        k=args.k,
-        alphabet_size=args.alphabet,
-        length_cap=args.cap,
-        parallel_depth=3 if args.parallel else 0,
-        workers=args.workers,
-    )
+    params = SearchParams(l=args.l, k=args.k, alphabet_size=args.alphabet, length_cap=args.cap, workers=args.workers)
     outcome = compute_n(params)
     print(
         _envelope(
@@ -176,12 +169,13 @@ def _cmd_search_n(args) -> int:
 def _cmd_n_table(args) -> int:
     l_orders = _parse_orders(args.l_range)
     k_orders = _parse_orders(args.k_range)
+    # build every row first, so a usage error leaves stdout empty
+    rows = [SearchParams(l=l, k=k, alphabet_size=args.alphabet, length_cap=args.cap) for l in l_orders for k in k_orders]
     print("l,k,N")
-    for l in l_orders:
-        for k in k_orders:
-            outcome = compute_n(SearchParams(l=l, k=k, alphabet_size=args.alphabet, length_cap=args.cap))
-            cell = outcome.value if outcome.status == EXACT else f">{outcome.value}"
-            print(f"{l},{k},{cell}")
+    for params in rows:
+        outcome = compute_n(params)
+        cell = outcome.value if outcome.status == EXACT else f">{outcome.value}"
+        print(f"{params.l},{params.k},{cell}")
     return EXIT_OK
 
 
@@ -196,7 +190,7 @@ def _cmd_witness(args) -> int:
     print(
         _envelope(
             "witness",
-            {"generator": args.generator, "k": args.k, "l": args.l, "budget": args.budget},
+            {"generator": x.name, "k": args.k, "l": args.l, "budget": args.budget},
             result,
             started,
         )
@@ -220,7 +214,7 @@ def _cmd_density(args) -> int:
             "ratios": [[n + 1, d.numerator, d.denominator] for n, d in enumerate(est.ratios)],
             "min_tail": [est.min_tail.numerator, est.min_tail.denominator],
         }
-        print(_envelope("density", {"generator": args.generator, "kind": args.kind, "k": args.k}, result, started))
+        print(_envelope("density", {"generator": x.name, "kind": args.kind, "k": args.k}, result, started))
     else:
         print("# finite lower-density estimate (not the liminf)")
         print(f"# generator={x.name} kind={args.kind} k={args.k} horizon={args.horizon}")
@@ -268,8 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("--alphabet", type=int, default=2)
     p.add_argument("--cap", type=int, default=64, help="length cap for the search tree")
-    p.add_argument("--parallel", action="store_true", help="fan the search out to worker processes")
-    p.add_argument("--workers", type=int, default=2)
+    p.add_argument("--workers", type=int, default=1, help="processes that search the frontier's subtrees")
     p.set_defaults(func=_cmd_search_n)
 
     p = sub.add_parser("n-table", help="CSV table of N(l,k) over ranges")

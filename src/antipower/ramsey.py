@@ -7,13 +7,15 @@ soon as some suffix ending at the newest letter is an l-power or a
 k-anti-power, and letter-renaming symmetry is quotiented away by requiring
 first occurrences of distinct letters in increasing order.
 
-extension_dfs is the one search engine: an explicit-stack DFS that serves
-the sequential search, the parallel frontier and its per-root workers here,
-and scan.max_avoiding_extension.
+compute_n has one path: the live words of length 3 (cap - 1 for lower caps)
+root subtrees searched in lex order up to the first that reaches the cap,
+in this process or on ``workers`` processes with the same outcome; the one
+engine is extension_dfs, an explicit-stack DFS (scan uses it too).
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 from math import comb
 from multiprocessing import Pool
@@ -36,8 +38,7 @@ class SearchParams:
     k: int
     alphabet_size: int = 2
     length_cap: int = 64
-    parallel_depth: int = 0  # 0 = sequential; otherwise fan out below this depth
-    workers: int = 2
+    workers: int = 1  # processes that search the frontier's subtrees
 
     def __post_init__(self) -> None:
         if self.l < 2 or self.k < 2:
@@ -57,6 +58,10 @@ class SearchOutcome:
     max_avoiding_word is a longest word found avoiding both patterns,
     lexicographically least among those; with status "exact" its length is
     N - 1, with status "lower-bound" it certifies N(l, k) > value.
+
+    nodes_explored counts every one-letter extension tried up to the
+    frontier, plus the tries in each root's subtree up to and including the
+    first root that reaches the cap (all of them when none does).
     """
 
     params: SearchParams
@@ -130,23 +135,20 @@ def _search_root(job: tuple) -> tuple:
 def compute_n(params: SearchParams) -> SearchOutcome:
     """Run the search; Exact(N) when exhausted below the cap, else a lower bound."""
     l, k, a, cap = params.l, params.k, params.alphabet_size, params.length_cap
-    depth = params.parallel_depth
-    if 0 < depth < cap:
-        # every live word of ``depth`` letters roots one job, in lex order
-        deepest, nodes, roots = _search_root((b"", 0, l, k, a, depth, True))
-        hits = []
-        jobs = [(root, used, l, k, a, cap, False) for root, used in roots]
-        if jobs:  # Pool(0) raises, and a dead frontier leaves nothing to fan out
-            # leaving the block terminates the workers, running roots included
-            with Pool(processes=min(params.workers, len(jobs))) as pool:
-                for dword, dnodes, hits in pool.imap(_search_root, jobs):
-                    nodes += dnodes
-                    if len(dword) > len(deepest):
-                        deepest = dword
-                    if hits:  # the first root to reach the cap holds the lex-least cap word
-                        break
-    else:
-        deepest, nodes, hits = _search_root((b"", 0, l, k, a, cap, False))
+    # every live word of the frontier roots one job, in lex order
+    deepest, nodes, roots = _search_root((b"", 0, l, k, a, min(3, cap - 1), True))
+    jobs = [(root, used, l, k, a, cap, False) for root, used in roots]
+    processes = min(params.workers, len(jobs))
+    hits = []
+    # leaving the block terminates a pool's workers, running roots included
+    with ExitStack() as stack:
+        run = stack.enter_context(Pool(processes)).imap if processes > 1 else map
+        for dword, dnodes, hits in run(_search_root, jobs):
+            nodes += dnodes
+            if len(dword) > len(deepest):
+                deepest = dword
+            if hits:  # the first root to reach the cap holds the lex-least cap word
+                break
 
     witness = Word(deepest, a)
     if naive_has_k_power_factor(witness, l) or naive_has_k_anti_power_factor(witness, k):

@@ -2,8 +2,11 @@
 
 Symbols are small non-negative integers (letter indexes below the alphabet
 size).  Infinite words are 1-based: x = x_1 x_2 x_3 ...  Each generator's
-``symbol_at`` is a pure function of the generator and the position; prefix
-materialization caches symbols internally but is observationally pure.
+one hook ``_bulk(lo, hi)`` is a pure function of the positions; it serves
+``symbol_at(n)`` as ``_bulk(n, n)`` and prefix materialization, which
+caches symbols internally but is observationally pure.  Thue-Morse and the
+recurrent avoider join whole aligned runs chosen by the digits of each
+run's index: c symbols peak at 5c bytes, the result included (tracemalloc).
 
 Ultimately periodic words head . tail^omega, the shape of every word that
 avoids 3-anti-powers, come from one generator, ``LiteralWord``, which tiles
@@ -28,6 +31,8 @@ from .hashing import PrefixHashes
 DEFAULT_CAP = 10_000_000
 
 _LETTERS = string.ascii_lowercase
+
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 class MaterializationCapError(RuntimeError):
@@ -124,8 +129,8 @@ def _label(w: Word) -> str:
 class InfiniteWord:
     """Deterministic indexable symbol source with cached prefix materialization.
 
-    Subclasses implement ``_compute(n)`` (1-based, pure) or ``_bulk(lo, hi)``;
-    each defaults to the other.  ``prefix`` and ``hashes`` cache materialized
+    Subclasses implement ``_bulk(lo, hi)``: the symbols at positions lo..hi
+    inclusive, 1 <= lo <= hi.  ``prefix`` and ``hashes`` cache materialized
     symbols; repeated calls agree on the common prefix, and caching is
     invisible to callers (safe under concurrency).
     """
@@ -139,17 +144,10 @@ class InfiniteWord:
         self._hashes = PrefixHashes()
         self._lock = threading.Lock()
 
-    def _compute(self, n: int) -> int:
-        return self._bulk(n, n)[0]
-
-    def _bulk(self, lo: int, hi: int) -> bytes:
-        """Symbols at positions lo..hi inclusive."""
-        return bytes(self._compute(n) for n in range(lo, hi + 1))
-
     def symbol_at(self, n: int) -> int:
         if n < 1:
             raise ValueError("positions are 1-based")
-        return self._compute(n)
+        return self._bulk(n, n)[0]
 
     def _ensure(self, n: int) -> None:
         if n > self.cap:
@@ -193,13 +191,26 @@ class InfiniteWord:
         return f"<InfiniteWord {self.name}>"
 
 
+def _aligned_runs(lo: int, hi: int, size: int, run) -> bytes:
+    """Positions lo..hi of the word whose aligned run of ``size`` symbols with index q is run(q)."""
+    first = (lo - 1) // size
+    out = b"".join(map(run, range(first, (hi - 1) // size + 1)))
+    start = lo - 1 - first * size
+    return out[start : start + hi - lo + 1]
+
+
 class ThueMorseWord(InfiniteWord):
     """t = 0110100110010110...; symbol n is the bit-parity of n - 1."""
 
     name = "thue-morse"
 
-    def _compute(self, n: int) -> int:
-        return (n - 1).bit_count() & 1
+    def _bulk(self, lo: int, hi: int) -> bytes:
+        # the aligned run of 2^j symbols with index q is t_1..t_{2^j}, complemented when q has odd bit parity
+        run = b"\x00"
+        while 2 * len(run) <= hi - lo + 1:
+            run += run.translate(_FLIP)
+        runs = (run, run.translate(_FLIP))
+        return _aligned_runs(lo, hi, len(run), lambda q: runs[q.bit_count() & 1])
 
 
 class FibonacciWord(InfiniteWord):
@@ -213,12 +224,9 @@ class FibonacciWord(InfiniteWord):
         self._prev = b"\x00"
         self._cur = b"\x00\x01"
 
-    def _grow(self, n: int) -> None:
-        while len(self._cur) < n:
-            self._prev, self._cur = self._cur, self._cur + self._prev
-
     def _bulk(self, lo: int, hi: int) -> bytes:
-        self._grow(hi)
+        while len(self._cur) < hi:
+            self._prev, self._cur = self._cur, self._cur + self._prev
         return self._cur[lo - 1 : hi]
 
 
@@ -243,8 +251,8 @@ class GeneratorConfig:
 class SparseAvoiderWord(InfiniteWord):
     """1 exactly at the marker positions of a fast-growing geometric sequence.
 
-    Aperiodic, and free of 4-anti-power factors.  Membership is decided from
-    the closed form in O(log n), not by scanning.
+    Aperiodic, and free of 4-anti-power factors.  A range is zeros with the
+    markers inside it set, O(log n) work beyond the range itself.
     """
 
     def __init__(self, config: GeneratorConfig | None = None, cap: int = DEFAULT_CAP) -> None:
@@ -255,15 +263,20 @@ class SparseAvoiderWord(InfiniteWord):
         else:
             self.name = f"sparse-avoider:{self.config.alpha1}:{self.config.growth}"
 
-    def _compute(self, n: int) -> int:
-        a1 = self.config.alpha1
-        g = self.config.growth
-        if n < a1 or n % a1:
-            return 0
-        q = n // a1
-        while q % g == 0:
-            q //= g
-        return 1 if q == 1 else 0
+    def _bulk(self, lo: int, hi: int) -> bytes:
+        out = bytearray(hi - lo + 1)
+        marker = self.config.alpha1
+        while marker <= hi:
+            if marker >= lo:
+                out[marker - lo] = 1
+            marker *= self.config.growth
+        return bytes(out)
+
+
+def _digits_0_or_4(q: int) -> bool:
+    while q and q % 5 in (0, 4):
+        q //= 5
+    return not q
 
 
 class RecurrentAvoiderWord(InfiniteWord):
@@ -274,23 +287,13 @@ class RecurrentAvoiderWord(InfiniteWord):
 
     name = "recurrent-avoider"
 
-    def _compute(self, n: int) -> int:
-        i = n - 1
-        if i == 0:
-            return 0
-        p = 1
-        while p <= i:  # p = 5^m, the least power of 5 above i
-            p *= 5
-        while p > 1:
-            q = p // 5
-            if i < q:
-                p = q
-                continue
-            if i < 4 * q:
-                return 1
-            i -= 4 * q
-            p = q
-        return 0
+    def _bulk(self, lo: int, hi: int) -> bytes:
+        # the aligned run of 5^j symbols with index q is w_j when every base-5 digit of q is 0 or 4, else all 1s
+        w = b"\x00"
+        while 5 * len(w) <= hi - lo + 1:
+            w += b"\x01" * (3 * len(w)) + w
+        ones = b"\x01" * len(w)
+        return _aligned_runs(lo, hi, len(w), lambda q: w if _digits_0_or_4(q) else ones)
 
 
 class LiteralWord(InfiniteWord):

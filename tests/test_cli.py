@@ -139,14 +139,41 @@ def test_search_n(capsys):
 
 
 def test_search_n_rejects_workers_below_one(capsys):
-    code, out, err = run(capsys, "search-n", "3", "3", "--parallel", "--workers", "0")
+    code, out, err = run(capsys, "search-n", "3", "3", "--workers", "0")
     assert code == 2 and out == "" and "workers" in err
+    with pytest.raises(SystemExit) as exc:  # the fan-out has no switch of its own
+        main(["search-n", "3", "3", "--parallel"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [("3", "3"), ("3", "4", "--cap", "17"), ("3", "5", "--cap", "30")])
+def test_search_n_workers_do_not_change_the_result(capsys, argv):
+    code, out, _ = run(capsys, "search-n", *argv, "--workers", "1")
+    again, out2, _ = run(capsys, "search-n", *argv, "--workers", "2")
+    assert again == code and without_elapsed(out2) == without_elapsed(out)
 
 
 def test_n_table(capsys):
     code, out, _ = run(capsys, "n-table", "--l-range", "2-3", "--k-range", "2-3")
     assert code == 0
     assert out == "l,k,N\n2,2,2\n2,3,4\n3,2,3\n3,3,9\n"
+
+
+@pytest.mark.parametrize("argv", [("--l-range", "1-3", "--k-range", "2"), ("--l-range", "2", "--k-range", "2", "--alphabet", "300")])
+def test_n_table_usage_errors_print_no_rows(capsys, argv):
+    code, out, err = run(capsys, "n-table", *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_params_name_the_parsed_generator(capsys):
+    # params.generator is the canonical name, the one result.generator reports
+    code, out, _ = run(capsys, "density", "periodic:ab", "--k", "2", "--kind", "p", "--horizon", "4", "--format", "json")
+    data = without_elapsed(out)
+    assert code == 0 and data["params"]["generator"] == data["result"]["generator"] == "periodic:01"
+    code, out, _ = run(capsys, "generate", "literal:0:ab", "5", "--format", "json")
+    data = without_elapsed(out)
+    assert code == 0 and data["params"] == {"generator": "literal:0:01", "length": 5}
+    assert data["result"] == {"generator": "literal:0:01", "length": 5, "word": "00101"}
 
 
 def test_witness_branches_and_budget(capsys):

@@ -91,40 +91,50 @@ def test_witness_is_lexicographically_least():
     assert out.max_avoiding_word.symbols == best
 
 
+def extension_dfs_nodes(l, k, a, cap):
+    """Nodes of one undivided search from the empty word, stopping at the first cap word."""
+    return ramsey._search_root((b"", 0, l, k, a, cap, False))[1]
+
+
 def test_parallel_matches_sequential():
-    seq = compute_n(SearchParams(l=4, k=3))
-    par = compute_n(SearchParams(l=4, k=3, parallel_depth=3, workers=2))
-    assert (par.status, par.value, par.max_avoiding_word) == (seq.status, seq.value, seq.max_avoiding_word)
-    # an exhausted tree is the same tree whether or not it is split at the frontier
-    assert par.nodes_explored == seq.nodes_explored
-    capped_seq = compute_n(SearchParams(l=3, k=4, length_cap=14))
-    capped_par = compute_n(SearchParams(l=3, k=4, length_cap=14, parallel_depth=4, workers=2))
-    assert (capped_par.status, capped_par.value, capped_par.max_avoiding_word) == (
-        capped_seq.status,
-        capped_seq.value,
-        capped_seq.max_avoiding_word,
-    )
-    # the fan-out stops at the first root that reaches the cap: beyond the
-    # sequential path it only spends the frontier's own 2 + 4 + 8 + 16 tries
-    assert 0 <= capped_par.nodes_explored - capped_seq.nodes_explored <= 2 + 4 + 8 + 16
+    # workers only choose where the frontier's roots run: the outcome, node
+    # count included, is the same on exact rows, capped rows and caps at or
+    # below the frontier depth
+    rows = [(4, 3, 2, 64), (3, 3, 2, 64), (3, 4, 3, 64), (3, 4, 2, 14), (3, 5, 2, 30), (2, 30, 3, 20)]
+    rows += [(l, k, a, cap) for cap in (1, 2, 3, 4) for l, k, a in ((3, 3, 2), (2, 2, 2), (2, 30, 3))]
+    for l, k, a, cap in rows:
+        seq = compute_n(SearchParams(l=l, k=k, alphabet_size=a, length_cap=cap, workers=1))
+        par = compute_n(SearchParams(l=l, k=k, alphabet_size=a, length_cap=cap, workers=2))
+        assert par.to_json() == seq.to_json(), (l, k, a, cap)
+    # an exhausted tree is counted whole
+    assert compute_n(SearchParams(l=4, k=3)).nodes_explored == extension_dfs_nodes(4, 3, 2, 64)
+    # a capped run counts the whole frontier, then stops at the first root
+    # that reaches the cap: N(3,4) at cap 14 tries 24 extensions, 3 past the
+    # 21 that a search stopping at the first cap word would try
+    capped = compute_n(SearchParams(l=3, k=4, length_cap=14))
+    assert (capped.status, capped.value, capped.nodes_explored) == ("lower-bound", 14, 24)
+    assert extension_dfs_nodes(3, 4, 2, 14) == 21
+    # caps at or below the frontier depth search from a frontier one letter short of the cap
+    assert [compute_n(SearchParams(l=3, k=3, length_cap=cap)).nodes_explored for cap in (1, 2, 3, 4)] == [1, 2, 5, 8]
 
 
 def test_capped_parallel_search_does_not_wait_for_running_roots():
     # the first root reaches the cap within milliseconds while the second
     # root's subtree takes seconds; leaving the pool must stop that worker
     started = time.perf_counter()
-    out = compute_n(SearchParams(l=5, k=5, length_cap=48, parallel_depth=3, workers=2))
+    out = compute_n(SearchParams(l=5, k=5, length_cap=48, workers=2))
     elapsed = time.perf_counter() - started
     assert (out.status, out.value, out.nodes_explored) == ("lower-bound", 48, 1936)
     assert out.max_avoiding_word.to_text() == "000010000100010000100001000100010000100001000100"
     assert elapsed < 2.0, elapsed
+    assert compute_n(SearchParams(l=5, k=5, length_cap=48, workers=1)).to_json() == out.to_json()
 
 
-@pytest.mark.parametrize("parallel_depth", [0, 3])
-def test_caps_deeper_than_the_recursion_limit(parallel_depth):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_caps_deeper_than_the_recursion_limit(workers):
     # square-free ternary words of any length exist and k=40 is far off, so
     # the search runs straight down to the cap
-    out = compute_n(SearchParams(l=2, k=40, alphabet_size=3, length_cap=1100, parallel_depth=parallel_depth))
+    out = compute_n(SearchParams(l=2, k=40, alphabet_size=3, length_cap=1100, workers=workers))
     assert out.status == "lower-bound" and out.value == 1100
     assert len(out.max_avoiding_word) == 1100
 
@@ -198,11 +208,12 @@ def test_worker_pool_is_bounded_by_the_frontier(monkeypatch):
     monkeypatch.setattr(ramsey, "Pool", RecordingPool)
     roots = ramsey._search_root((b"", 0, 4, 3, 2, 3, True))[2]
     seq = compute_n(SearchParams(l=4, k=3))
-    par = compute_n(SearchParams(l=4, k=3, parallel_depth=3, workers=10**6))
-    assert sizes == [len(roots)] and 1 <= len(roots) <= 5
-    assert (par.status, par.value, par.max_avoiding_word) == (seq.status, seq.value, seq.max_avoiding_word)
+    assert sizes == []  # workers=1 runs the roots in this process
+    par = compute_n(SearchParams(l=4, k=3, workers=10**6))
+    assert sizes == [len(roots)] and 2 <= len(roots) <= 5
+    assert par.to_json() == seq.to_json()
     # every binary word of length 2 holds a square or a 2-anti-power: no roots, no pool
-    out = compute_n(SearchParams(l=2, k=2, parallel_depth=3, workers=10**6))
+    out = compute_n(SearchParams(l=2, k=2, workers=10**6))
     assert sizes == [len(roots)]
     assert (out.status, out.value) == ("exact", 2)
 

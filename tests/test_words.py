@@ -1,5 +1,7 @@
 """Generators and finite words: fixed expansions plus structural laws."""
 
+import random
+
 import pytest
 
 from antipower import (
@@ -203,3 +205,45 @@ def test_parse_generator_rejects_unknown():
     with pytest.raises(ValueError):
         parse_generator("literal:01")  # needs head:tail
     assert parse_generator("sparse-avoider:2:7").name == "sparse-avoider:2:7"
+
+
+def thue_morse_at(n):
+    return (n - 1).bit_count() & 1
+
+
+def recurrent_avoider_at(n):
+    # 0 exactly where every base-5 digit of n - 1 is 0 or 4
+    i = n - 1
+    while i:
+        if i % 5 in (1, 2, 3):
+            return 1
+        i //= 5
+    return 0
+
+
+def sparse_avoider_at(n, alpha1=1, growth=5):
+    return int(any(n == alpha1 * growth**i for i in range(64)))
+
+
+@pytest.mark.parametrize(
+    "make,at",
+    [
+        (ThueMorseWord, thue_morse_at),
+        (RecurrentAvoiderWord, recurrent_avoider_at),
+        (SparseAvoiderWord, sparse_avoider_at),
+        (lambda: SparseAvoiderWord(GeneratorConfig(alpha1=3, growth=6)), lambda n: sparse_avoider_at(n, 3, 6)),
+    ],
+)
+def test_bulk_generation_matches_per_position_definitions(make, at):
+    x = make()
+    # uneven steps, so prefixes end just before, on and just after 2^j and 5^j seams
+    seams = sorted({s + d for j in range(1, 14) for s in (2**j, 5 ** (j // 2 + 1)) for d in (-1, 0, 1)})
+    ends = sorted({n for n in seams if n <= 20_000} | {3, 7, 12_000, 20_000})
+    grown = b"".join(x.prefix(b).symbols[a:] for a, b in zip([0] + ends, ends))
+    assert grown == bytes(at(n) for n in range(1, 20_001))
+    positions = [2**j + d for j in range(40) for d in (-1, 0, 1)] + [5**j + d for j in range(18) for d in (-1, 0, 1)]
+    positions += [3 * 6**j for j in range(16)] + [10**12, 10**12 - 1]
+    rng = random.Random(5)
+    positions += [rng.randrange(1, 10**12) for _ in range(100)]
+    for n in (n for n in positions if 1 <= n <= 10**12):
+        assert x.symbol_at(n) == at(n), n
