@@ -9,8 +9,15 @@ first occurrences of distinct letters in increasing order.
 
 compute_n has one path: the live words of length 3 (cap - 1 for lower caps)
 root subtrees searched in lex order up to the first that reaches the cap,
-in this process or on ``workers`` processes with the same outcome; the one
-engine is extension_dfs, an explicit-stack DFS (scan uses it too).
+in this process or on ``workers`` processes with the same outcome.  Two
+engines share the work and give the same outcome, node count included.
+extension_dfs, an explicit-stack DFS over one word at a time, builds the
+frontier and runs scan's max_avoiding_extension.  chunk_dfs searches each
+root's subtree depth-first over chunks of words held as numpy matrices.
+A chunk holds at most _CHUNK_CELLS letters (16 KB), plus per word its
+power runs (up to cap // l of them, in the least unsigned type that holds
+cap) and 16 bytes of counts; the stack holds at most alphabet_size chunks
+per word length.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from math import comb
 from multiprocessing import Pool
+
+import numpy as np
 
 from .detect import (
     ends_in_anti_power,
@@ -95,6 +104,10 @@ def extension_dfs(root: bytes, used: int, alphabet_size: int, limit: int, dead, 
     of one-letter extensions tried, and the live (word, used) pairs of
     ``limit`` letters in lex order, only the first unless ``collect``, in
     which case the search goes on past each of them.
+
+    It builds compute_n's frontier and runs max_avoiding_extension; the
+    frontier's subtrees run on chunk_dfs, which returns what this search
+    returns under the N(l, k) pruning rule.
     """
     if len(root) >= limit:
         return root, 0, [(root, used)]
@@ -124,12 +137,149 @@ def extension_dfs(root: bytes, used: int, alphabet_size: int, limit: int, dead, 
     return deepest, nodes, hits
 
 
+# rows x word length of a chunk: wide enough to amortize numpy's per-call
+# cost, narrow enough that a deep, thin tree is not searched as a beam
+_CHUNK_CELLS = 16384
+
+
+def _ends_in_anti_power_rows(words: np.ndarray, k: int, alphabet_size: int) -> np.ndarray:
+    """ends_in_anti_power for each row of ``words``, comparing blocks exactly.
+
+    The k blocks of each length b are compared through packed keys of b
+    letters of ceil(log2 alphabet_size) bits each, or pairwise when those do
+    not fit in 64 bits.  Lengths with alphabet_size**b < k are skipped: k
+    pairwise distinct blocks cannot fit there.
+    """
+    rows, m = words.shape
+    hit = np.zeros(rows, dtype=bool)
+    bits = (alphabet_size - 1).bit_length()
+    for b in range(1, m // k + 1):
+        if alphabet_size**b < k:
+            continue
+        blocks = words[:, m - k * b :].reshape(rows, k, b)
+        if b * bits <= 64:
+            key_type = np.min_scalar_type((1 << b * bits) - 1)
+            keys = blocks @ (key_type.type(1) << np.arange(0, b * bits, bits, dtype=key_type))
+            keys.sort(axis=1)
+            hit |= (keys[:, 1:] != keys[:, :-1]).all(axis=1)
+        else:
+            distinct = np.ones(rows, dtype=bool)
+            for i in range(k):
+                for j in range(i + 1, k):
+                    distinct &= (blocks[:, i] != blocks[:, j]).any(axis=1)
+            hit |= distinct
+    return hit
+
+
+def chunk_dfs(root: bytes, used: int, l: int, k: int, alphabet_size: int, limit: int):
+    """extension_dfs under the N(l, k) pruning rule, run on chunks of words.
+
+    A chunk holds live words of one length in lex order: a uint8 matrix of
+    rows, each row's count of used letters, its parent's row in the chunk
+    popped before it one length shorter, and its power runs: for each shift
+    b, how many trailing letters equal the letter b before them.  A suffix
+    of b * l letters is an l-power exactly when the run at shift b reaches
+    (l - 1) * b, and a child's runs are its parent's plus one where its new
+    letter equals the letter b back, else 0.
+
+    Popping a chunk builds all its children in (parent, letter) order under
+    the first-occurrence rule, drops those with an l-power or k-anti-power
+    suffix, and pushes the rest back as chunks of at most _CHUNK_CELLS
+    letters, leftmost on top.  Chunks are contiguous lex ranges popped in
+    preorder, so the first live word of ``limit`` letters is the lex-least
+    one, and the first row of the longest length reached is extension_dfs's
+    ``deepest``.
+
+    Returns extension_dfs's (deepest, nodes, hits) without ``collect``.
+    ``nodes`` is what extension_dfs counts: every child built, or, once a
+    word reaches the limit, the children built up to and including that
+    word's ancestor at each length, found through the parent rows.
+    """
+    if len(root) >= limit:
+        return root, 0, [(root, used)]
+    a = alphabet_size
+    shifts = limit // l  # no word is tested for an l-power of longer blocks
+    runs = [[_run(root, b) for b in range(1, min(len(root), shifts) + 1)]]
+    stack = [
+        (
+            np.frombuffer(root, dtype=np.uint8).reshape(1, -1),
+            np.array(runs, dtype=np.min_scalar_type(limit)),
+            np.array([used]),
+            np.zeros(1, dtype=np.intp),
+        )
+    ]
+    deepest, nodes = root, 0
+    popped = {}  # word length -> (used, parents) of the last chunk popped at that length
+    while stack:
+        words, runs, now_used, parents = stack.pop()
+        rows, n = words.shape
+        popped[n] = now_used, parents
+        kid_parent = np.repeat(np.arange(rows), a)
+        letter = np.tile(np.arange(a, dtype=np.uint8), rows)
+        first = letter <= now_used[kid_parent]  # a new letter only as the next of the used ones
+        kid_parent, letter = kid_parent[first], letter[first]
+        nodes += len(letter)
+        m = n + 1
+        kids = np.empty((len(letter), m), dtype=np.uint8)
+        kids[:, :n] = words[kid_parent]
+        kids[:, n] = letter
+        width = runs.shape[1]
+        kid_runs = np.zeros((len(kids), min(m, shifts)), dtype=runs.dtype)
+        kid_runs[:, :width] = np.where(kids[:, n - width : n][:, ::-1] == kids[:, n:], runs[kid_parent] + 1, 0)
+        dead = (kid_runs[:, : m // l] >= (l - 1) * np.arange(1, m // l + 1)).any(axis=1)
+        live = np.flatnonzero(~(dead | _ends_in_anti_power_rows(kids, k, a)))
+        if not len(live):
+            continue
+        kid_used = now_used[kid_parent] + (letter == now_used[kid_parent])
+        if m > len(deepest):
+            deepest = kids[live[0]].tobytes()
+        if m == limit:
+            skipped = _built_after(deepest, int(kid_parent[live[0]]), popped, a)
+            return deepest, nodes - skipped, [(deepest, int(kid_used[live[0]]))]
+        # each chunk owns its rows, so popping it frees them
+        step = max(1, _CHUNK_CELLS // m)
+        for start in reversed(range(0, len(live), step)):
+            part = live[start : start + step]
+            stack.append((kids[part], kid_runs[part], kid_used[part], kid_parent[part]))
+    return deepest, nodes, []
+
+
+def _run(s: bytes, b: int) -> int:
+    """How many trailing letters of s equal the letter b before them."""
+    run = 0
+    while run < len(s) - b and s[-1 - run] == s[-1 - run - b]:
+        run += 1
+    return run
+
+
+def _built_after(word: bytes, row: int, popped: dict, alphabet_size: int) -> int:
+    """The children chunk_dfs built after ``word``'s ancestor at each length.
+
+    ``popped[n]`` is the (used, parents) of the last chunk popped with words
+    of n letters, the one holding ``word[:n]``; ``row`` is that word's row
+    for the longest n.  extension_dfs stops at ``word`` before building
+    any of these children.
+    """
+    skipped = 0
+    for n in sorted(popped, reverse=True):
+        used, parents = popped[n]
+        counts = np.minimum(used + 1, alphabet_size)
+        skipped += int(counts[row + 1 :].sum()) + int(counts[row]) - (word[n] + 1)
+        row = int(parents[row])
+    return skipped
+
+
 def _search_root(job: tuple) -> tuple:
-    """extension_dfs under the N(l, k) pruning rule, picklable for worker processes."""
+    """One root's search under the N(l, k) pruning rule, picklable for worker processes.
+
+    ``collect`` (the frontier) runs extension_dfs; a root's subtree runs chunk_dfs.
+    """
     root, used, l, k, alphabet_size, limit, collect = job
-    return extension_dfs(
-        root, used, alphabet_size, limit, lambda t: ends_in_power(t, l) or ends_in_anti_power(t, k), collect
-    )
+    if collect:
+        return extension_dfs(
+            root, used, alphabet_size, limit, lambda t: ends_in_power(t, l) or ends_in_anti_power(t, k), True
+        )
+    return chunk_dfs(root, used, l, k, alphabet_size, limit)
 
 
 def compute_n(params: SearchParams) -> SearchOutcome:

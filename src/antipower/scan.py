@@ -1,7 +1,8 @@
 """Sliding scans for anti-power factors and the bounded extension search.
 
 The extension search has no loop of its own: it runs on the explicit-stack
-DFS engine ramsey.extension_dfs that also drives the N(l, k) search.
+DFS engine ramsey.extension_dfs that also builds the N(l, k) search's
+frontier.
 
 The factor scan is exact: for each block length it decides block equality
 by direct symbol comparison, vectorized with numpy (windowed cumulative

@@ -4,9 +4,11 @@ Symbols are small non-negative integers (letter indexes below the alphabet
 size).  Infinite words are 1-based: x = x_1 x_2 x_3 ...  Each generator's
 one hook ``_bulk(lo, hi)`` is a pure function of the positions; it serves
 ``symbol_at(n)`` as ``_bulk(n, n)`` and prefix materialization, which
-caches symbols internally but is observationally pure.  Thue-Morse and the
-recurrent avoider join whole aligned runs chosen by the digits of each
-run's index: c symbols peak at 5c bytes, the result included (tracemalloc).
+caches symbols internally but is observationally pure.  Fibonacci's
+``_bulk`` grows the whole word up to hi, so its ``symbol_at`` is a closed
+form instead.  Thue-Morse and the recurrent avoider join whole aligned
+runs chosen by the digits of each run's index: c symbols peak at 5c
+bytes, the result included (tracemalloc).
 
 Ultimately periodic words head . tail^omega, the shape of every word that
 avoids 3-anti-powers, come from one generator, ``LiteralWord``, which tiles
@@ -24,6 +26,7 @@ from __future__ import annotations
 import string
 import threading
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable
 
 from .hashing import PrefixHashes
@@ -228,6 +231,17 @@ class FibonacciWord(InfiniteWord):
         while len(self._cur) < hi:
             self._prev, self._cur = self._cur, self._cur + self._prev
         return self._cur[lo - 1 : hi]
+
+    def symbol_at(self, n: int) -> int:
+        """Symbol n is 2 + floor(n phi) - floor((n + 1) phi): no buffer grows, whatever n."""
+        if n < 1:
+            raise ValueError("positions are 1-based")
+        return 2 + _floor_phi(n) - _floor_phi(n + 1)
+
+
+def _floor_phi(n: int) -> int:
+    """floor(n * (1 + sqrt 5) / 2) in exact integers."""
+    return (n + isqrt(5 * n * n)) // 2
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,8 @@ from antipower import (
     root_power_from_border,
     verify_witness,
 )
+from antipower.detect import ends_in_anti_power, ends_in_power
+from antipower.ramsey import extension_dfs
 
 TM_SHORTEST_ANTI_POWER_PREFIX = {
     3: 15, 4: 20, 5: 25, 6: 30, 7: 77, 8: 88, 9: 99, 10: 110, 11: 121, 12: 132,
@@ -197,3 +199,16 @@ def test_criterion_10_detector_equivalence():
             for k in divisors:
                 assert is_k_power(w, k) == naive_is_k_power(w, k)
                 assert is_k_anti_power(w, k) == naive_is_k_anti_power(w, k)
+
+
+@criterion(11, "N(5,4) = 26 and N(3,5) = 41: the chunk engine and one stack DFS over the whole tree agree", budget_s=60)
+def test_criterion_11_pinned_n_values_agree_across_engines():
+    for l, k, n in [(5, 4, 26), (3, 5, 41)]:
+        out = compute_n(SearchParams(l=l, k=k))
+        dies = lambda t: ends_in_power(t, l) or ends_in_anti_power(t, k)  # noqa: E731
+        deepest, nodes, hits = extension_dfs(b"", 0, 2, 64, dies)
+        assert not hits and len(deepest) + 1 == n
+        assert (out.status, out.value) == ("exact", n), f"N({l},{k})={out.value}, want {n}"
+        assert (out.max_avoiding_word.symbols, out.nodes_explored) == (deepest, nodes)
+        assert not naive_has_k_power_factor(out.max_avoiding_word, l)
+        assert not naive_has_k_anti_power_factor(out.max_avoiding_word, k)

@@ -3,9 +3,11 @@
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 
 from antipower import ramsey
+from antipower.detect import ends_in_anti_power, ends_in_power
 from antipower import (
     SearchParams,
     Word,
@@ -91,9 +93,77 @@ def test_witness_is_lexicographically_least():
     assert out.max_avoiding_word.symbols == best
 
 
+def dies(l, k):
+    return lambda t: ends_in_power(t, l) or ends_in_anti_power(t, k)
+
+
 def extension_dfs_nodes(l, k, a, cap):
     """Nodes of one undivided search from the empty word, stopping at the first cap word."""
-    return ramsey._search_root((b"", 0, l, k, a, cap, False))[1]
+    return ramsey.extension_dfs(b"", 0, a, cap, dies(l, k))[1]
+
+
+def stack_dfs_outcome(l, k, a, cap):
+    """compute_n's JSON outcome with every subtree searched by the stack DFS.
+
+    The frontier of compute_n, then ramsey.extension_dfs on each root's
+    subtree in lex order, stopping at the first root that reaches the cap.
+    """
+    deepest, nodes, roots = ramsey.extension_dfs(b"", 0, a, min(3, cap - 1), dies(l, k), collect=True)
+    hits = []
+    for root, used in roots:
+        word, more, hits = ramsey.extension_dfs(root, used, a, cap, dies(l, k))
+        nodes += more
+        if len(word) > len(deepest):
+            deepest = word
+        if hits:
+            break
+    return {
+        "l": l,
+        "k": k,
+        "alphabet_size": a,
+        "status": "lower-bound" if hits else "exact",
+        "N_or_bound": len(deepest) if hits else len(deepest) + 1,
+        "witness": Word(deepest, a).to_json_value(),
+        "nodes_explored": nodes,
+    }
+
+
+NSEARCH_ROWS = [(l, k, 2, 64) for l in (3, 4, 5) for k in (3, 4)]
+NSEARCH_ROWS += [(3, 5, 2, 64), (3, 4, 3, 64), (4, 4, 3, 64), (2, 6, 3, 64), (5, 5, 2, 48), (3, 6, 2, 50)]
+SMALL_CAPS = [(l, k, a, cap) for cap in (1, 2, 3, 4, 5) for l, k, a in ((3, 3, 2), (2, 2, 2), (2, 30, 3), (3, 5, 2), (5, 5, 2))]
+
+
+@pytest.mark.parametrize("l,k,a,cap", NSEARCH_ROWS + SMALL_CAPS + [(2, 30, 3, 20), (2, 40, 3, 1100)])
+def test_chunk_engine_matches_the_stack_dfs(l, k, a, cap):
+    # value, witness and node count, on exact and capped rows alike
+    assert compute_n(SearchParams(l=l, k=k, alphabet_size=a, length_cap=cap)).to_json() == stack_dfs_outcome(l, k, a, cap)
+
+
+@pytest.mark.parametrize("a,k,length", [(2, 2, 200), (2, 3, 60), (3, 4, 80), (4, 5, 60), (256, 2, 40)])
+def test_row_anti_power_check_matches_the_suffix_check(a, k, length):
+    # long blocks (b * ceil(log2 a) > 64) take the pairwise path, short ones packed keys
+    rng = np.random.default_rng(a * 100 + k)
+    words = rng.integers(0, a, (300, length), dtype=np.uint8)
+    words[::3, length // 2 :] = words[::3, : length - length // 2]  # rows whose halves repeat
+    # one 1, then zeros: for k = 2 only the whole word can be an anti-power, so long blocks decide
+    words[1::3] = 0
+    words[1::3, 0] = 1
+    seen = set()
+    for m in range(1, length + 1):
+        got = ramsey._ends_in_anti_power_rows(np.ascontiguousarray(words[:, :m]), k, a).tolist()
+        assert got == [ends_in_anti_power(w.tobytes(), k) for w in words[:, :m]], m
+        seen.update(got)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("cells", [1, 7, 100])
+def test_chunk_boundaries_do_not_change_the_outcome(monkeypatch, cells):
+    # narrow chunks split every generation, so the capped count crosses chunk edges
+    monkeypatch.setattr(ramsey, "_CHUNK_CELLS", cells)
+    for l, k, a, cap in [(3, 4, 2, 64), (4, 4, 2, 30), (3, 5, 2, 30), (2, 6, 3, 25), (2, 30, 3, 40)]:
+        for root, used in ramsey.extension_dfs(b"", 0, a, 3, dies(l, k), collect=True)[2]:
+            want = ramsey.extension_dfs(root, used, a, cap, dies(l, k))
+            assert ramsey.chunk_dfs(root, used, l, k, a, cap) == want, (l, k, a, cap, root)
 
 
 def test_parallel_matches_sequential():

@@ -190,6 +190,31 @@ def test_symbol_at_agrees_with_prefix():
         assert all(x.symbol_at(n) == w[n - 1] for n in range(1, 201))
 
 
+def zeckendorf_fibonacci_at(n):
+    # 1 exactly where the Zeckendorf representation of n - 1 ends in the part 1
+    fibs = [1, 2]
+    while fibs[-1] <= n - 1:
+        fibs.append(fibs[-1] + fibs[-2])
+    rest, smallest = n - 1, 0
+    for f in reversed(fibs):
+        if f <= rest:
+            rest, smallest = rest - f, f
+    return int(smallest == 1)
+
+
+def test_fibonacci_symbol_at_is_closed_form():
+    x = FibonacciWord()
+    w = x.prefix(10**5).symbols
+    assert all(x.symbol_at(n) == w[n - 1] for n in range(1, 10**5 + 1))
+    # far past the cap, nothing is materialized and no buffer grows
+    capped = FibonacciWord(cap=100)
+    for n in (10**12, 10**12 + 1, 10**18 + 7):
+        assert capped.symbol_at(n) == zeckendorf_fibonacci_at(n), n
+    assert capped._cur == b"\x00\x01" and len(capped._buf) == 0
+    with pytest.raises(ValueError):
+        capped.symbol_at(0)
+
+
 def test_materialization_cap():
     x = ThueMorseWord(cap=100)
     assert len(x.prefix(100)) == 100
