@@ -29,12 +29,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .detect import (
-    ends_in_anti_power,
-    ends_in_power,
-    naive_has_k_anti_power_factor,
-    naive_has_k_power_factor,
-)
+from .detect import ends_in_anti_power, ends_in_power, naive_has_k_power_factor
 from .words import Word
 
 EXACT = "exact"
@@ -300,9 +295,12 @@ def compute_n(params: SearchParams) -> SearchOutcome:
             if hits:  # the first root to reach the cap holds the lex-least cap word
                 break
 
+    from .scan import find_anti_power_in_word  # scan imports this module
+
+    # a second method, independent of the search's suffix checks and packed keys
     witness = Word(deepest, a)
-    if naive_has_k_power_factor(witness, l) or naive_has_k_anti_power_factor(witness, k):
-        raise AssertionError("search produced a witness rejected by the naive oracle")
+    if naive_has_k_power_factor(witness, l) or find_anti_power_in_word(witness, k) is not None:
+        raise AssertionError("search produced a witness rejected by an independent check")
     if hits:
         return SearchOutcome(params, LOWER_BOUND, len(deepest), witness, nodes)
     return SearchOutcome(params, EXACT, len(deepest) + 1, witness, nodes)
