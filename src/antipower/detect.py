@@ -4,10 +4,11 @@ The fast detectors compare byte slices directly: a word is a k-anti-power
 when the set of its k blocks has k members, and the suffix checks
 ``ends_in_power`` / ``ends_in_anti_power`` used by the extension searches
 test every suffix ending at the last letter the same way.  No hashing is
-involved; the hash-filtered check for long prefixes is
-``PrefixHashes.distinct_blocks``.  The ``naive_*`` functions are
-deliberately independent quadratic re-implementations kept as oracles; do
-not "optimize" them to share code with the fast paths.
+involved; the one hash-filtered check, batched over the block lengths of
+prefixes, positions and witness scans, is ``PrefixHashes.distinct_blocks``.
+The ``naive_*`` functions are deliberately independent quadratic
+re-implementations kept as oracles; do not "optimize" them to share code
+with the fast paths.
 """
 
 from __future__ import annotations

@@ -13,11 +13,12 @@ every table and grows under a lock; the B**-j table covers one chunk.
 (v1 << 31) | v2 of many blocks in one vectorized pass.  Distinct keys prove
 distinct blocks; equal keys prove nothing.
 
-A hash match is never taken as proof of equality: every equality decision
-made through :meth:`PrefixHashes.equal_blocks` or
-:meth:`PrefixHashes.distinct_blocks` falls back to a direct
-symbol-by-symbol comparison once the two hash pairs agree.  The moduli and
-bases are fixed constants so that runs are bit-for-bit reproducible.
+A hash match is never taken as proof of equality: ``equal_blocks``
+compares the symbols once the hash pairs agree, and ``distinct_blocks``,
+the one hash-filtered distinctness check, confirms a row's first
+shared-key pair through ``equal_blocks``, comparing all of the row's
+blocks only on a collision.  The moduli and bases are fixed constants so
+that runs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -167,22 +168,27 @@ class PrefixHashes:
         with self._lock:
             return self._sym.startswith(memoryview(self._sym)[b : b + length], a)
 
-    def distinct_blocks(self, start: int, length: int, k: int) -> bool:
-        """Are the k consecutive length-``length`` blocks from ``start`` pairwise distinct?
+    def distinct_blocks(self, start: int, lengths: int | np.ndarray, k: int) -> bool | np.ndarray:
+        """Are the k consecutive blocks of each length from ``start`` pairwise distinct?
 
-        Blocks are bucketed by hash pair, computed as needed so that an early
-        repeat ends the hashing; a block sharing a bucket is confirmed through
-        ``equal_blocks`` against every earlier block in it.
+        An int of ``lengths`` gets a bool, an int array a bool array.  A row
+        whose k keys all differ is distinct; any other row is settled by its
+        first shared-key pair or, if that pair is a collision, by all k blocks.
         """
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for t in range(k):
-            a = start + t * length
-            bucket = buckets.setdefault(self.block(a, length), [])
-            for other in bucket:
-                if self.equal_blocks(other, a, length):
-                    return False
-            bucket.append(a)
-        return True
+        m = np.reshape(lengths, (-1, 1))
+        keys = self.block_keys(start + m * np.arange(k), m)
+        order = keys.argsort(axis=1, kind="stable")
+        keys.sort(axis=1)  # row by row, the keys in that order
+        shared = keys[:, 1:] == keys[:, :-1]
+        distinct = ~shared.any(axis=1)
+        rows = np.flatnonzero(~distinct)
+        col = shared[rows].argmax(axis=1) if rows.size else rows  # first shared pair (no rows if k = 1)
+        m = m[rows, 0]
+        a, b = start + order[rows, col] * m, start + order[rows, col + 1] * m
+        for r, length, i, j in zip(rows.tolist(), m.tolist(), a.tolist(), b.tolist()):
+            if not self.equal_blocks(i, j, length):  # a hash collision: compare every block
+                distinct[r] = len({self.symbols(start + t * length, length) for t in range(k)}) == k
+        return distinct if np.ndim(lengths) else bool(distinct[0])
 
     def symbols(self, start: int, length: int) -> bytes:
         """Raw symbols of a block, for direct comparisons."""

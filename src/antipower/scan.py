@@ -34,6 +34,7 @@ import numpy as np
 
 from .detect import ends_in_anti_power, naive_is_k_anti_power
 from .ramsey import extension_dfs
+from .sets import _scan_lengths
 from .words import InfiniteWord, Word
 
 # keys gathered per batch of survivors in the factor scan (32 bytes each at the peak)
@@ -107,10 +108,8 @@ def anti_power_at_position(x: InfiniteWord, k: int, pos: int, limit: int) -> int
     if k < 2 or pos < 1 or limit < 1:
         raise ValueError("need k >= 2, pos >= 1, limit >= 1")
     start = pos - 1
-    for ell in range(1, limit + 1):
-        if x.hashes(start + k * ell).distinct_blocks(start, ell, k):
-            return ell
-    return None
+    hits = _scan_lengths(x, k, start, 1, limit, lambda ph, k, ell: ph.distinct_blocks(start, ell, k))
+    return next((ell for ell, ap in hits if ap), None)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ lengths m whose km-prefix is a k-anti-power; the power set is its k-power
 mirror.  Densities are finite-horizon estimates only: the true lower
 density is a liminf and is not finitely computable.
 
-``ap_set``, ``p_set`` and the witness scan first count the distinct hash
-keys of each row's k blocks in one numpy batch (``distinct_key_counts``);
-only the rows the keys cannot settle reach the exact per-m checks.
+One loop, ``_scan_lengths``, hands block lengths in doubling batches to
+a row check for these sets, ``ap_min``, ``scan.anti_power_at_position`` and
+the witness scan.  Anti-power rows go through the exact
+``PrefixHashes.distinct_blocks``.  A km-prefix is a k-power exactly when
+it has period m, which one ``equal_blocks`` call settles.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .words import InfiniteWord
 ANTI_POWER_SET = "anti-power"
 POWER_SET = "power"
 
-_FILTER_KEYS = 1 << 16  # block keys per numpy batch of distinct_key_counts
+_FIRST_ROWS = 16  # block lengths in the first batch of _scan_lengths; later batches double
+_BATCH_KEYS = 1 << 16  # block keys the doubling stops at
 
 
 @dataclass(frozen=True)
@@ -63,41 +66,45 @@ class DensityEstimate:
     min_tail: Fraction
 
 
-def prefix_is_k_anti_power(ph: PrefixHashes, k: int, m: int) -> bool:
-    """Is the km-prefix (under the given hash table) a k-anti-power?"""
+def prefix_is_k_anti_power(ph: PrefixHashes, k: int, m: int | np.ndarray) -> bool | np.ndarray:
+    """Is the km-prefix (under the given hash table) a k-anti-power?  ``m`` may be an int array."""
     return ph.distinct_blocks(0, m, k)
 
 
 def prefix_is_k_power(ph: PrefixHashes, k: int, m: int) -> bool:
-    """Is the km-prefix (under the given hash table) a k-power?"""
-    return all(ph.equal_blocks(0, t * m, m) for t in range(1, k))
+    """Is the km-prefix (under the given hash table) a k-power, that is, of period m?"""
+    return ph.equal_blocks(0, m, (k - 1) * m)
 
 
-def distinct_key_counts(ph: PrefixHashes, k: int, lo: int, hi: int) -> np.ndarray:
-    """For m = lo .. hi-1: how many distinct hash keys the k length-m blocks of the km-prefix have.
+def _power_rows(ph: PrefixHashes, k: int, m: np.ndarray) -> np.ndarray:
+    """k-power flags of the km-prefixes: period blocks with equal keys, confirmed exactly."""
+    flags = ph.block_keys(0, (k - 1) * m) == ph.block_keys(m, (k - 1) * m)
+    flags[flags] = [prefix_is_k_power(ph, k, r) for r in m[flags].tolist()]
+    return flags
 
-    Distinct keys prove distinct blocks, so a count of k proves a
-    k-anti-power and a count above 1 proves a non-power.  The other rows
-    (two blocks share a key) are decided by the exact checks.
+
+def _scan_lengths(x: InfiniteWord, k: int, start: int, first: int, last: int, check):
+    """Yield (m, check(ph, k, m)) for the block lengths m = first .. last, in order.
+
+    ``check`` answers an int array of lengths.  A batch ends at the last
+    length whose k blocks from ``start`` fit under x's cap; the next
+    length raises x's cap error, as its own table would.
     """
-    counts = np.ones(max(0, hi - lo), dtype=np.int64)
-    t = np.arange(k, dtype=np.int64)
-    step = max(1, _FILTER_KEYS // k)
-    for a in range(lo, hi, step):
-        m = np.arange(a, min(a + step, hi), dtype=np.int64)[:, None]
-        keys = ph.block_keys(m * t, m)
-        keys.sort(axis=1)
-        counts[a - lo : a - lo + len(m)] += (keys[:, 1:] != keys[:, :-1]).sum(axis=1)
-    return counts
+    rows = _FIRST_ROWS
+    while first <= last:
+        hi = min(first + rows - 1, last, (x.cap - start) // k)
+        ph = x.hashes(start + k * max(first, hi))  # raises past the cap
+        yield from zip(range(first, hi + 1), check(ph, k, np.arange(first, hi + 1)).tolist())
+        first = hi + 1
+        rows = min(2 * rows, max(_FIRST_ROWS, _BATCH_KEYS // k))
 
 
 def ap_set(x: InfiniteWord, k: int, horizon: int) -> IndexSet:
     """All m <= horizon whose km-prefix of x is a k-anti-power."""
     if k < 1 or horizon < 1:
         raise ValueError("k and horizon must be >= 1")
-    ph = x.hashes(k * horizon)
-    counts = distinct_key_counts(ph, k, 1, horizon + 1).tolist()
-    members = tuple(m for m, c in enumerate(counts, 1) if c == k or prefix_is_k_anti_power(ph, k, m))
+    x.hashes(k * horizon)  # one build, and the cap error before any work
+    members = tuple(m for m, ap in _scan_lengths(x, k, 0, 1, horizon, prefix_is_k_anti_power) if ap)
     return IndexSet(kind=ANTI_POWER_SET, x=x, k=k, horizon=horizon, members=members)
 
 
@@ -105,9 +112,8 @@ def p_set(x: InfiniteWord, k: int, horizon: int) -> IndexSet:
     """All m <= horizon whose km-prefix of x is a k-power."""
     if k < 1 or horizon < 1:
         raise ValueError("k and horizon must be >= 1")
-    ph = x.hashes(k * horizon)
-    counts = distinct_key_counts(ph, k, 1, horizon + 1).tolist()
-    members = tuple(m for m, c in enumerate(counts, 1) if c == 1 and prefix_is_k_power(ph, k, m))
+    x.hashes(k * horizon)  # one build, and the cap error before any work
+    members = tuple(m for m, power in _scan_lengths(x, k, 0, 1, horizon, _power_rows) if power)
     return IndexSet(kind=POWER_SET, x=x, k=k, horizon=horizon, members=members)
 
 
@@ -118,11 +124,7 @@ def ap_min(x: InfiniteWord, k: int, limit: int) -> int | None:
     """
     if k < 1 or limit < 1:
         raise ValueError("k and limit must be >= 1")
-    for m in range(1, limit + 1):
-        ph = x.hashes(k * m)
-        if prefix_is_k_anti_power(ph, k, m):
-            return m
-    return None
+    return next((m for m, ap in _scan_lengths(x, k, 0, 1, limit, prefix_is_k_anti_power) if ap), None)
 
 
 def density_estimate(s: IndexSet) -> DensityEstimate:

@@ -1,15 +1,15 @@
 """Constructive extraction of arbitrarily repeated factors, or anti-power evidence.
 
 For an infinite word x, order k >= 2 and exponent l >= 1, the extractor
-scans for a run of C(k,2)+1 consecutive block lengths none of which gives an
-anti-power prefix.  Inside such a window, pigeonhole over the first k blocks
-at each radius yields two radii r < s sharing an equal pair (i, j); from the
-overlap of those equal blocks a border is peeled (``root_power_from_border``)
-and a root u with u**l a factor of x drops out.  When every scanned window
-is blocked by an anti-power index, the anti-power half of the dichotomy is
-certified instead, by listing confirmed anti-power prefix lengths.
-
-Every claimed equality is re-verified against x by direct symbol comparison
+scans the block lengths with the prefix sets' loop (``sets._scan_lengths``)
+for a run of C(k,2)+1 lengths none of which gives an anti-power prefix.
+Inside such a window, pigeonhole over the first k blocks at each radius
+yields two radii r < s sharing an equal pair (i, j); from the overlap of
+those equal blocks a border is peeled (``root_power_from_border``) and a
+root u with u**l a factor of x drops out.  When every scanned window is
+blocked by an anti-power index, the anti-power half of the dichotomy is
+certified instead, by listing confirmed anti-power prefix lengths.  Every
+claimed equality is re-verified against x by direct symbol comparison
 before a result is returned.
 """
 
@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from math import comb
 
 from .detect import LengthDeficit, root_power_from_border
-from .sets import distinct_key_counts, prefix_is_k_anti_power
+from .sets import _scan_lengths, prefix_is_k_anti_power
 from .words import InfiniteWord, Word
 
 DEFAULT_BUDGET = 100_000
 _REPORT_SAMPLE = 24
-_FIRST_FILTER_ROWS = 32  # rows of the first key-count batch; later batches double
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -190,18 +189,10 @@ def extract_power_witness(
         raise BudgetExhaustedError(
             f"budget {budget} leaves no block length above (l+1)*M = {n_threshold} to scan"
         )
-    # the block lengths the scan can visit whose km-prefixes fit under the cap
-    first, last = n_threshold + 1, min(budget + c, x.cap // k)
-    counts: list[int] = []  # distinct block keys of m = first + i, filled in doubling batches
     found: list[int] = []  # anti-power lengths, in increasing order
     run = 0  # consecutive non-anti-power lengths ending at m
-    for m in range(first, budget + c + 1):
-        if m <= last and m == first + len(counts):
-            hi = min(m + max(_FIRST_FILTER_ROWS, len(counts)), last + 1)
-            counts.extend(distinct_key_counts(x.hashes(k * (hi - 1)), k, m, hi).tolist())
-        # k distinct keys prove an anti-power; the exact check decides the
-        # rest, and raises the cap error for a prefix past the cap
-        if (m <= last and counts[m - first] == k) or prefix_is_k_anti_power(x.hashes(k * m), k, m):
+    for m, anti_power in _scan_lengths(x, k, 0, n_threshold + 1, budget + c, prefix_is_k_anti_power):
+        if anti_power:
             found.append(m)
             if m >= budget:  # it blocks every window left to scan
                 break

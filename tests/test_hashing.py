@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antipower import (
     FibonacciWord,
@@ -22,7 +24,7 @@ from antipower import (
 )
 from antipower import hashing
 from antipower.hashing import PrefixHashes
-from antipower.sets import distinct_key_counts, prefix_is_k_anti_power
+from antipower.sets import prefix_is_k_anti_power
 
 MODULI = ((1_000_003, 2147483647), (1_000_033, 2147483629))
 
@@ -231,10 +233,10 @@ def test_one_word_hashed_and_queried_from_many_threads():
     def work(n):
         ph = x.hashes(n)
         m = n // 3
-        counts = distinct_key_counts(ph, 3, m - 20, m)
+        batch = ph.distinct_blocks(0, np.arange(m - 20, m), 3)
         exact = [x.hashes(n).distinct_blocks(0, r, 3) for r in range(m - 20, m)]
         same = x.hashes(n).equal_blocks(0, m, m) == (t[:m] == t[m : 2 * m])
-        return counts.tolist(), exact, same
+        return batch.tolist(), exact, same
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -244,14 +246,11 @@ def test_one_word_hashed_and_queried_from_many_threads():
             results = list(pool.map(work, sizes, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    for n, (counts, exact, same) in zip(sizes, results):
+    for n, (batch, exact, same) in zip(sizes, results):
         m = n // 3
         assert same
-        for r, c, e in zip(range(m - 20, m), counts, exact):
-            assert e == naive_is_k_anti_power(Word(t[: 3 * r], 2), 3)
-            assert 1 <= c <= 3
-            if c == 3:  # three distinct keys prove an anti-power
-                assert e
+        for r, b, e in zip(range(m - 20, m), batch, exact):
+            assert b == e == naive_is_k_anti_power(Word(t[: 3 * r], 2), 3)
 
 
 def test_shared_key_filter_is_only_a_filter():
@@ -281,3 +280,44 @@ def test_geometric_hash_growth_stays_under_the_cap():
     assert x.hashes(100) is x.hashes(1)
     with pytest.raises(MaterializationCapError):
         x.hashes(101)
+
+
+# words over one to three letters
+small_alphabet_words = st.integers(1, 3).flatmap(
+    lambda a: st.binary(min_size=1, max_size=60).map(lambda b: bytes(c % a for c in b))
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_alphabet_words, st.integers(0, 59), st.integers(1, 6))
+def test_batched_distinct_blocks_match_the_scalar_form_and_the_oracle(data, start, k):
+    ph = PrefixHashes(data)
+    start = min(start, len(data) - 1)
+    lengths = np.arange(1, (len(data) - start) // k + 1)  # up to the end of the table
+    batch = ph.distinct_blocks(start, lengths, k)
+    assert batch.dtype == bool and batch.shape == lengths.shape
+    for length, got in zip(lengths.tolist(), batch.tolist()):
+        scalar = ph.distinct_blocks(start, length, k)
+        assert type(scalar) is bool
+        assert got == scalar == naive_is_k_anti_power(Word(data[start : start + k * length], 3), k)
+
+
+class TiedKeys(PrefixHashes):
+    """Honest hashes, but the first two blocks of every row from 0 share the smallest key."""
+
+    def block_keys(self, starts, lengths):
+        keys = super().block_keys(starts, lengths)
+        return np.where(np.asarray(starts) < 2 * np.asarray(lengths), -1, keys)
+
+
+def test_a_tied_unequal_pair_does_not_hide_an_equal_pair():
+    # blocks 0 and 1 differ but tie, and sort first; blocks 2 and 3 are equal
+    for data, m in ((b"\x00\x01\x02\x02", 1), (b"\x00\x00\x00\x01\x01\x01\x01\x01", 2)):
+        ph = TiedKeys(data)
+        assert ph.block_keys(0, m) == ph.block_keys(m, m) and not ph.equal_blocks(0, m, m)
+        assert ph.distinct_blocks(0, m, 4) is False
+        assert ph.distinct_blocks(0, np.array([m]), 4).tolist() == [False]
+    # with no equal pair behind the tie, the row is distinct
+    ph = TiedKeys(b"\x00\x01\x02\x03")
+    assert ph.distinct_blocks(0, 1, 4) is True
+    assert ph.distinct_blocks(0, np.array([1]), 4).tolist() == [True]

@@ -8,12 +8,15 @@ from antipower import (
     FibonacciWord,
     IndexSet,
     LiteralWord,
+    MaterializationCapError,
     PeriodicWord,
     ThueMorseWord,
     Word,
+    anti_power_at_position,
     ap_min,
     ap_set,
     density_estimate,
+    extract_power_witness,
     naive_is_k_anti_power,
     naive_is_k_power,
     p_set,
@@ -81,6 +84,30 @@ def test_ap_min_values():
     assert ap_min(tm, 100, 200) == 97
     x = PeriodicWord(Word.from_text("01"))
     assert ap_min(x, 3, 100) is None
+
+
+def test_ap_min_is_the_position_one_scan():
+    words = (ThueMorseWord, FibonacciWord, lambda: PeriodicWord(Word.from_text("0120121")))
+    for make in words:
+        for k in range(2, 12):
+            assert ap_min(make(), k, 150) == anti_power_at_position(make(), k, 1, 150), (make().name, k)
+
+
+def test_length_batches_stop_at_the_cap():
+    # the answer fits under the cap: no batch may reach past it
+    assert ap_min(ThueMorseWord(cap=15), 3, 100) == 5
+    assert anti_power_at_position(ThueMorseWord(cap=15), 3, 1, 100) == 5
+    assert anti_power_at_position(ThueMorseWord(cap=23), 3, 9, 100) == 5
+    # no answer under the cap: the error names the first length past it, as a one-length scan would
+    with pytest.raises(MaterializationCapError, match="length 51 exceeds"):
+        ap_min(PeriodicWord(Word.from_text("01"), cap=50), 3, 50)
+    with pytest.raises(MaterializationCapError, match="length 52 exceeds"):
+        anti_power_at_position(PeriodicWord(Word.from_text("01"), cap=50), 3, 2, 50)
+    with pytest.raises(MaterializationCapError, match="length 501 exceeds"):
+        extract_power_witness(ThueMorseWord(cap=500), 3, 2, 20000)
+    with pytest.raises(MaterializationCapError, match="length 57 exceeds"):
+        extract_power_witness(PeriodicWord(Word.from_text("0"), cap=50), 3, 2, 20000)
+    assert ap_min(PeriodicWord(Word.from_text("01"), cap=48), 3, 16) is None  # the limit comes first
 
 
 def test_anti_power_order_is_monotone_on_thue_morse():
