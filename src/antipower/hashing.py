@@ -4,21 +4,23 @@ The hash of the first i symbols is h[i] = sum_{j<i} (c_j + 1) * B**(i-1-j)
 mod p, for each of the two (B, p) pairs.  A table is built in fixed-size
 chunks: inside a chunk, h[lo + i] = B**i * (h[lo] + S_i) with S_i the int64
 cumsum of (c_{lo+j} + 1) * B**-(j+1), so temporaries stay bounded and no sum
-overflows.  The hashes live in ``array('q')``, so the scalar
-:meth:`PrefixHashes.block` returns plain Python ints.  The B**i table (one
-row per modulus) is built by doubling, lives at module level, is shared by
-every table and grows under a lock; the B**-j table covers one chunk.
+overflows.  The hashes live in ``array('q')``.  B**length is the product
+of two small tables, one row per modulus: the fixed B**j for j <= _CHUNK,
+which with the B**-j table is all a build needs, and each table's own
+B**(q * _CHUNK) for q <= len // _CHUNK, grown by ``extend`` under the
+table's lock.  The module's own tables are fixed at import.
 
 :meth:`PrefixHashes.block_keys` is the batch filter: the keys
-(v1 << 31) | v2 of many blocks in one vectorized pass.  Distinct keys prove
+(v1 << 31) | v2 of many blocks in one vectorized pass, which
+:meth:`PrefixHashes.block` unpacks for one block.  Distinct keys prove
 distinct blocks; equal keys prove nothing.
 
 A hash match is never taken as proof of equality: ``equal_blocks``
-compares the symbols once the hash pairs agree, and ``distinct_blocks``,
-the one hash-filtered distinctness check, confirms a row's first
-shared-key pair through ``equal_blocks``, comparing all of the row's
-blocks only on a collision.  The moduli and bases are fixed constants so
-that runs are bit-for-bit reproducible.
+compares the symbols themselves, and ``distinct_blocks``, the one
+hash-filtered distinctness check, confirms a row's first shared-key pair
+through ``equal_blocks``, comparing all of the row's blocks only on a
+collision.  The moduli and bases are fixed constants so that runs are
+bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ _BASE2 = 1_000_033
 _MODS = np.array([[_MOD1], [_MOD2]], dtype=np.int64)
 _BASES = np.array([[_BASE1], [_BASE2]], dtype=np.int64)
 
-_CHUNK = 1 << 14  # symbols per build step
-_POW_SLACK = 1 << 20  # the power table grows by at most this beyond the request
+_CHUNK = 1 << 14  # symbols per build step, and the span of _POW
 
 
 def _doubling(table: np.ndarray, have: int, bases: np.ndarray) -> np.ndarray:
@@ -51,32 +52,12 @@ def _doubling(table: np.ndarray, have: int, bases: np.ndarray) -> np.ndarray:
     return table
 
 
+_POW = _doubling(np.ones((2, _CHUNK + 1), dtype=np.int64), 1, _BASES)  # B**j for one chunk
 _INV = _doubling(  # B**-j for one chunk
     np.ones((2, _CHUNK + 1), dtype=np.int64),
     1,
     np.array([[pow(_BASE1, -1, _MOD1)], [pow(_BASE2, -1, _MOD2)]], dtype=np.int64),
 )
-_POWERS = np.ones((2, 1), dtype=np.int64)
-_POWERS_LOCK = threading.Lock()
-
-
-def _powers(n: int) -> np.ndarray:
-    """The shared B**i table of both moduli, covering at least i = 0..n-1.
-
-    A grown table is a new array, so a table handed out earlier stays valid
-    and unchanged.
-    """
-    global _POWERS
-    table = _POWERS
-    if table.shape[1] >= n:
-        return table
-    with _POWERS_LOCK:
-        have = _POWERS.shape[1]
-        if have < n:
-            grown = np.empty((2, max(n, min(2 * have, n + _POW_SLACK))), dtype=np.int64)
-            grown[:, :have] = _POWERS
-            _POWERS = _doubling(grown, have, _BASES)
-        return _POWERS
 
 
 class PrefixHashes:
@@ -87,20 +68,16 @@ class PrefixHashes:
     are small ints.
     """
 
-    __slots__ = ("_sym", "_h1", "_h2", "_pw", "_p1", "_p2", "_lock")
+    __slots__ = ("_sym", "_h1", "_h2", "_high", "_lock")
 
     def __init__(self, symbols: Iterable[int] = b"") -> None:
         self._sym = bytearray()
         self._h1 = array("q", [0])
         self._h2 = array("q", [0])
-        self._use_powers(_powers(1))
-        # held while the arrays are resized or a buffer view of them is alive
+        self._high = np.ones((2, 1), dtype=np.int64)  # B**(q * _CHUNK) for q <= len // _CHUNK
+        # held while the tables are resized or a buffer view of them is alive
         self._lock = threading.Lock()
         self.extend(symbols)
-
-    def _use_powers(self, table: np.ndarray) -> None:
-        self._pw = table
-        self._p1, self._p2 = memoryview(table[0]), memoryview(table[1])  # Python-int rows
 
     def __len__(self) -> int:
         return len(self._sym)
@@ -111,7 +88,6 @@ class PrefixHashes:
         if not data:
             return
         with self._lock:
-            pw = _powers(len(self._sym) + len(data) + 1)
             last = np.array([[self._h1[-1]], [self._h2[-1]]], dtype=np.int64)
             for lo in range(0, len(data), _CHUNK):
                 c = np.frombuffer(data, dtype=np.uint8, count=min(_CHUNK, len(data) - lo), offset=lo)
@@ -119,20 +95,22 @@ class PrefixHashes:
                 s = np.cumsum((c.astype(np.int64) + 1) * _INV[:, 1 : n + 1], axis=1)
                 s += last
                 s %= _MODS
-                s *= pw[:, 1 : n + 1]
+                s *= _POW[:, 1 : n + 1]
                 s %= _MODS
                 self._h1.frombytes(memoryview(s[0]).cast("B"))
                 self._h2.frombytes(memoryview(s[1]).cast("B"))
                 last = s[:, -1:]
-            self._use_powers(pw)
             self._sym.extend(data)
+            have, need = self._high.shape[1], len(self._sym) // _CHUNK + 1
+            if have < need:
+                grown = np.empty((2, need), dtype=np.int64)
+                grown[:, :have] = self._high
+                self._high = _doubling(grown, have, _POW[:, _CHUNK:])
 
     def block(self, start: int, length: int) -> tuple[int, int]:
         """Hash pair of the block ``symbols[start : start + length]`` (0-based)."""
-        end = start + length
-        v1 = (self._h1[end] - self._h1[start] * self._p1[length]) % _MOD1
-        v2 = (self._h2[end] - self._h2[start] * self._p2[length]) % _MOD2
-        return v1, v2
+        key = int(self.block_keys(start, length))
+        return key >> 31, key & 0x7FFFFFFF
 
     def block_keys(self, starts, lengths) -> np.ndarray:
         """Keys ``(v1 << 31) | v2`` of the blocks at ``starts`` with ``lengths``.
@@ -143,14 +121,16 @@ class PrefixHashes:
         starts = np.asarray(starts, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
         ends = starts + lengths
+        high, low = np.divmod(lengths, _CHUNK)
         keys = np.int64(0)
         # the lock must outlive every buffer view of h: extend cannot resize
         # an array that still exports its buffer
         with self._lock:
-            for h, pw, mod in ((self._h1, self._pw[0], _MOD1), (self._h2, self._pw[1], _MOD2)):
+            pw = _POW[:, low] * self._high[:, high]  # B**length of both moduli, < 2**62
+            for h, p, mod in ((self._h1, pw[0] % _MOD1, _MOD1), (self._h2, pw[1] % _MOD2, _MOD2)):
                 hv = np.frombuffer(h, dtype=np.int64)
                 try:
-                    keys = (keys << 31) | ((hv[ends] - hv[starts] * pw[lengths]) % mod)  # |.| < 2**62
+                    keys = (keys << 31) | ((hv[ends] - hv[starts] * p) % mod)  # |.| < 2**62
                 finally:
                     del hv  # also when indexing raises, so no traceback keeps the view
         return keys
@@ -158,13 +138,11 @@ class PrefixHashes:
     def equal_blocks(self, a: int, b: int, length: int) -> bool:
         """Exact equality of the two length-``length`` blocks at ``a`` and ``b``.
 
-        The hash pair acts as a filter; agreement is always confirmed by a
-        direct comparison of the underlying symbols, without copying them.
+        A direct comparison of the symbols, without copying them: callers
+        reach it with a pair whose keys already agree, or with short blocks.
         """
         if a == b:
             return True
-        if self.block(a, length) != self.block(b, length):
-            return False
         with self._lock:
             return self._sym.startswith(memoryview(self._sym)[b : b + length], a)
 

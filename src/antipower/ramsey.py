@@ -265,24 +265,18 @@ def _built_after(word: bytes, row: int, popped: dict, alphabet_size: int) -> int
 
 
 def _search_root(job: tuple) -> tuple:
-    """One root's search under the N(l, k) pruning rule, picklable for worker processes.
-
-    ``collect`` (the frontier) runs extension_dfs; a root's subtree runs chunk_dfs.
-    """
-    root, used, l, k, alphabet_size, limit, collect = job
-    if collect:
-        return extension_dfs(
-            root, used, alphabet_size, limit, lambda t: ends_in_power(t, l) or ends_in_anti_power(t, k), True
-        )
-    return chunk_dfs(root, used, l, k, alphabet_size, limit)
+    """One root's subtree under the N(l, k) pruning rule, picklable for worker processes."""
+    return chunk_dfs(*job)
 
 
 def compute_n(params: SearchParams) -> SearchOutcome:
     """Run the search; Exact(N) when exhausted below the cap, else a lower bound."""
     l, k, a, cap = params.l, params.k, params.alphabet_size, params.length_cap
     # every live word of the frontier roots one job, in lex order
-    deepest, nodes, roots = _search_root((b"", 0, l, k, a, min(3, cap - 1), True))
-    jobs = [(root, used, l, k, a, cap, False) for root, used in roots]
+    deepest, nodes, roots = extension_dfs(
+        b"", 0, a, min(3, cap - 1), lambda t: ends_in_power(t, l) or ends_in_anti_power(t, k), collect=True
+    )
+    jobs = [(root, used, l, k, a, cap) for root, used in roots]
     processes = min(params.workers, len(jobs))
     hits = []
     # leaving the block terminates a pool's workers, running roots included

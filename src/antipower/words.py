@@ -14,11 +14,11 @@ Ultimately periodic words head . tail^omega, the shape of every word that
 avoids 3-anti-powers, come from one generator, ``LiteralWord``, which tiles
 the tail in bulk; ``PeriodicWord`` is the case with an empty head.
 
-Memory: a hashed prefix costs a word ~19 bytes per symbol (its symbol
-buffer, the hash table's copy of it and two int64 hash arrays), plus 16
-bytes per symbol in the power table every word shares (tracemalloc,
-Thue-Morse).  A word hashed to DEFAULT_CAP holds ~350 MB in all, with a
-peak RSS of ~410 MB.
+Memory: a hashed prefix costs a word ~18 bytes per symbol (its symbol
+buffer, the hash table's copy of it and two int64 hash arrays;
+tracemalloc, Thue-Morse); its own power table stays under 10 KB.  A word
+hashed to DEFAULT_CAP holds ~182 MB, with a peak RSS of ~220 MB, all
+freed with the word.
 """
 
 from __future__ import annotations

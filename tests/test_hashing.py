@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -89,8 +90,9 @@ def test_extension_matches_bulk_construction():
 
 
 def test_equality_is_exact_even_when_every_hash_collides():
-    # the hash is only a filter: with a constant "hash", every decision falls
-    # through to the direct comparison and answers must not change
+    # the hash is only a filter: CollidingHashes.block_keys gives every block
+    # the same key, so every shared-key row falls through to the direct
+    # comparison, and answers must not change
     rng = random.Random(7)
     data = bytes(rng.randrange(2) for _ in range(120))
     honest = PrefixHashes(data)
@@ -137,6 +139,53 @@ def test_blocks_match_the_definition_across_build_chunks():
     for seam in (hashing._CHUNK, 2 * hashing._CHUNK):
         for a in range(seam - 5, seam + 1):
             assert ph.block(a, 9) == reference_block(data, a, 9)
+
+
+def test_powers_split_at_chunk_multiples_match_the_definition():
+    # B**length is B**(length mod _CHUNK) * B**(_CHUNK * (length // _CHUNK));
+    # uneven extends grow the table's high powers several times
+    chunk = hashing._CHUNK
+    rng = random.Random(13)
+    data = bytes(rng.randrange(3) for _ in range(3 * chunk + 500))
+    ph = PrefixHashes()
+    steps = iter((1, chunk - 3, 7, chunk + 5, 2, 3 * chunk))
+    high = []
+    while len(ph) < len(data):
+        ph.extend(data[len(ph) : len(ph) + next(steps)])
+        high.append(ph._high.shape[1])
+    assert high[-1] == 4 and len(set(high)) == 4
+    for q in (1, 2, 3):
+        for length in (q * chunk - 1, q * chunk, q * chunk + 1):
+            last = len(data) - length
+            # starts on both sides of a chunk seam, where they fit
+            starts = sorted({0, 1, last} | {s for s in (chunk - 1, chunk, chunk + 1) if s <= last})
+            want = [reference_block(data, a, length) for a in starts]
+            assert [ph.block(a, length) for a in starts] == want
+            # a scalar length broadcasts over many starts
+            keys = ph.block_keys(np.array(starts), length).tolist()
+            assert keys == [(v1 << 31) | v2 for v1, v2 in want]
+    starts = rng.sample(range(len(data) - chunk - 1), 40)
+    lengths = [rng.choice((chunk - 1, chunk, chunk + 1)) for _ in starts]
+    keys = ph.block_keys(np.array(starts), np.array(lengths)).tolist()
+    for a, length, key in zip(starts, lengths, keys):
+        v1, v2 = reference_block(data, a, length)
+        assert key == (v1 << 31) | v2
+
+
+def test_a_deleted_table_frees_its_memory():
+    n = 2_000_000
+    data = ThueMorseWord().prefix(n).symbols
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ph = PrefixHashes(data)
+        held = tracemalloc.get_traced_memory()[0] - before
+        del ph
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 1 << 20, left
+    assert held < 20 * n, held / n
 
 
 def test_block_keys_pack_the_scalar_pairs():
@@ -194,9 +243,7 @@ def test_many_small_extends_equal_one_bulk_build():
     assert (grown.block_keys(starts, 300) == whole.block_keys(starts, 300)).all()
 
 
-def test_power_tables_grow_safely_under_concurrent_builds(monkeypatch):
-    # start from an empty shared table, so that every thread has to grow it
-    monkeypatch.setattr(hashing, "_POWERS", np.ones((2, 1), dtype=np.int64))
+def test_concurrent_builds_equal_a_serial_build():
     rng = random.Random(12)
     datas = [bytes(rng.randrange(4) for _ in range(n)) for n in (5000, 20000, 700, 41000, 13000, 9000)]
     barrier = threading.Barrier(len(datas))

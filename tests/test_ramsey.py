@@ -276,7 +276,7 @@ def test_worker_pool_is_bounded_by_the_frontier(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(ramsey, "Pool", RecordingPool)
-    roots = ramsey._search_root((b"", 0, 4, 3, 2, 3, True))[2]
+    roots = ramsey.extension_dfs(b"", 0, 2, 3, dies(4, 3), collect=True)[2]
     seq = compute_n(SearchParams(l=4, k=3))
     assert sizes == []  # workers=1 runs the roots in this process
     par = compute_n(SearchParams(l=4, k=3, workers=10**6))
