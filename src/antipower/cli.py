@@ -19,7 +19,7 @@ import sys
 import time
 
 from .detect import is_k_anti_power, is_k_power
-from .ramsey import EXACT, SearchParams, compute_n, lower_bound_witness, theoretical_upper_bound
+from .ramsey import EXACT, SearchParams, compute_n
 from .scan import find_anti_power_factor, find_anti_power_in_word
 from .sets import ap_min, ap_set, density_estimate, p_set
 from .witness import BudgetExhaustedError, WitnessEvidence, extract_power_witness

@@ -1,26 +1,27 @@
-"""Polynomial prefix hashes over two fixed 31-bit prime moduli, built with numpy.
+"""Polynomial prefix hashes modulo one fixed 31-bit prime, built with numpy.
 
 The hash of the first i symbols is h[i] = sum_{j<i} (c_j + 1) * B**(i-1-j)
-mod p, for each of the two (B, p) pairs.  A table is built in fixed-size
-chunks: inside a chunk, h[lo + i] = B**i * (h[lo] + S_i) with S_i the int64
-cumsum of (c_{lo+j} + 1) * B**-(j+1), so temporaries stay bounded and no sum
-overflows.  The hashes live in ``array('q')``.  B**length is the product
-of two small tables, one row per modulus: the fixed B**j for j <= _CHUNK,
-which with the B**-j table is all a build needs, and each table's own
-B**(q * _CHUNK) for q <= len // _CHUNK, grown by ``extend`` under the
-table's lock.  The module's own tables are fixed at import.
+mod p.  A table is built in fixed-size chunks: inside a chunk,
+h[lo + i] = B**i * (h[lo] + S_i) with S_i the int64 cumsum of
+(c_{lo+j} + 1) * B**-(j+1), so temporaries stay bounded and no sum
+overflows.  The hashes live in ``array('q')``.  B**length is the product of
+two small tables: the fixed B**j for j <= _CHUNK, which with the B**-j table
+is all a build needs, and each table's own B**(q * _CHUNK) for
+q <= len // _CHUNK, grown by ``extend`` under the table's lock.  The
+module's own tables are fixed at import.
 
-:meth:`PrefixHashes.block_keys` is the batch filter: the keys
-(v1 << 31) | v2 of many blocks in one vectorized pass, which
-:meth:`PrefixHashes.block` unpacks for one block.  Distinct keys prove
-distinct blocks; equal keys prove nothing.
+:meth:`PrefixHashes.block_keys` is the batch filter: the hashes of many
+blocks in one vectorized pass, which :meth:`PrefixHashes.block` gives for
+one block.  Distinct keys prove distinct blocks; equal keys prove nothing.
 
 A hash match is never taken as proof of equality: ``equal_blocks``
 compares the symbols themselves, and ``distinct_blocks``, the one
 hash-filtered distinctness check, confirms a row's first shared-key pair
 through ``equal_blocks``, comparing all of the row's blocks only on a
-collision.  The moduli and bases are fixed constants so that runs are
-bit-for-bit reproducible.
+collision.  That is why one modulus is enough: a collision costs a
+comparison, never a wrong answer, so a second modulus would only make the
+rare collision rarer, at twice the table and the arithmetic.  The modulus
+and base are fixed constants so that runs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -31,33 +32,24 @@ from typing import Iterable
 
 import numpy as np
 
-_MOD1 = 2147483647  # 2**31 - 1 (Mersenne prime)
-_MOD2 = 2147483629  # largest prime below it
-_BASE1 = 1_000_003
-_BASE2 = 1_000_033
-# one row per modulus
-_MODS = np.array([[_MOD1], [_MOD2]], dtype=np.int64)
-_BASES = np.array([[_BASE1], [_BASE2]], dtype=np.int64)
+_MOD = 2147483647  # 2**31 - 1 (Mersenne prime)
+_BASE = 1_000_003
 
 _CHUNK = 1 << 14  # symbols per build step, and the span of _POW
 
 
-def _doubling(table: np.ndarray, have: int, bases: np.ndarray) -> np.ndarray:
-    """Fill table[:, have:] with bases**i mod p, given table[:, :have] (have >= 1)."""
-    while have < table.shape[1]:
-        step = min(have, table.shape[1] - have)
-        shift = table[:, have - 1 : have] * bases % _MODS  # bases**have
-        table[:, have : have + step] = table[:, :step] * shift % _MODS
+def _doubling(table: np.ndarray, have: int, base: int) -> np.ndarray:
+    """Fill table[have:] with base**i mod p, given table[:have] (have >= 1)."""
+    while have < len(table):
+        step = min(have, len(table) - have)
+        shift = int(table[have - 1]) * base % _MOD  # base**have
+        table[have : have + step] = table[:step] * shift % _MOD
         have += step
     return table
 
 
-_POW = _doubling(np.ones((2, _CHUNK + 1), dtype=np.int64), 1, _BASES)  # B**j for one chunk
-_INV = _doubling(  # B**-j for one chunk
-    np.ones((2, _CHUNK + 1), dtype=np.int64),
-    1,
-    np.array([[pow(_BASE1, -1, _MOD1)], [pow(_BASE2, -1, _MOD2)]], dtype=np.int64),
-)
+_POW = _doubling(np.ones(_CHUNK + 1, dtype=np.int64), 1, _BASE)  # B**j for one chunk
+_INV = _doubling(np.ones(_CHUNK + 1, dtype=np.int64), 1, pow(_BASE, -1, _MOD))  # B**-j for one chunk
 
 
 class PrefixHashes:
@@ -68,13 +60,12 @@ class PrefixHashes:
     are small ints.
     """
 
-    __slots__ = ("_sym", "_h1", "_h2", "_high", "_lock")
+    __slots__ = ("_sym", "_h", "_high", "_lock")
 
     def __init__(self, symbols: Iterable[int] = b"") -> None:
         self._sym = bytearray()
-        self._h1 = array("q", [0])
-        self._h2 = array("q", [0])
-        self._high = np.ones((2, 1), dtype=np.int64)  # B**(q * _CHUNK) for q <= len // _CHUNK
+        self._h = array("q", [0])
+        self._high = np.ones(1, dtype=np.int64)  # B**(q * _CHUNK) for q <= len // _CHUNK
         # held while the tables are resized or a buffer view of them is alive
         self._lock = threading.Lock()
         self.extend(symbols)
@@ -83,37 +74,35 @@ class PrefixHashes:
         return len(self._sym)
 
     def extend(self, symbols: Iterable[int]) -> None:
-        """Append symbols, growing the hash tables one numpy chunk at a time."""
+        """Append symbols, growing the hash table one numpy chunk at a time."""
         data = bytes(symbols)
         if not data:
             return
         with self._lock:
-            last = np.array([[self._h1[-1]], [self._h2[-1]]], dtype=np.int64)
+            last = self._h[-1]
             for lo in range(0, len(data), _CHUNK):
                 c = np.frombuffer(data, dtype=np.uint8, count=min(_CHUNK, len(data) - lo), offset=lo)
                 n = len(c)
-                s = np.cumsum((c.astype(np.int64) + 1) * _INV[:, 1 : n + 1], axis=1)
+                s = np.cumsum((c.astype(np.int64) + 1) * _INV[1 : n + 1])
                 s += last
-                s %= _MODS
-                s *= _POW[:, 1 : n + 1]
-                s %= _MODS
-                self._h1.frombytes(memoryview(s[0]).cast("B"))
-                self._h2.frombytes(memoryview(s[1]).cast("B"))
-                last = s[:, -1:]
+                s %= _MOD
+                s *= _POW[1 : n + 1]
+                s %= _MOD
+                self._h.frombytes(memoryview(s).cast("B"))
+                last = int(s[-1])
             self._sym.extend(data)
-            have, need = self._high.shape[1], len(self._sym) // _CHUNK + 1
+            have, need = len(self._high), len(self._sym) // _CHUNK + 1
             if have < need:
-                grown = np.empty((2, need), dtype=np.int64)
-                grown[:, :have] = self._high
-                self._high = _doubling(grown, have, _POW[:, _CHUNK:])
+                grown = np.empty(need, dtype=np.int64)
+                grown[:have] = self._high
+                self._high = _doubling(grown, have, int(_POW[_CHUNK]))
 
-    def block(self, start: int, length: int) -> tuple[int, int]:
-        """Hash pair of the block ``symbols[start : start + length]`` (0-based)."""
-        key = int(self.block_keys(start, length))
-        return key >> 31, key & 0x7FFFFFFF
+    def block(self, start: int, length: int) -> int:
+        """Hash of the block ``symbols[start : start + length]`` (0-based)."""
+        return int(self.block_keys(start, length))
 
     def block_keys(self, starts, lengths) -> np.ndarray:
-        """Keys ``(v1 << 31) | v2`` of the blocks at ``starts`` with ``lengths``.
+        """Hashes (keys) of the blocks at ``starts`` with ``lengths``.
 
         ``starts`` and ``lengths`` are int arrays (or scalars) that broadcast
         together; key equality is exactly ``block`` equality.
@@ -122,18 +111,15 @@ class PrefixHashes:
         lengths = np.asarray(lengths, dtype=np.int64)
         ends = starts + lengths
         high, low = np.divmod(lengths, _CHUNK)
-        keys = np.int64(0)
         # the lock must outlive every buffer view of h: extend cannot resize
         # an array that still exports its buffer
         with self._lock:
-            pw = _POW[:, low] * self._high[:, high]  # B**length of both moduli, < 2**62
-            for h, p, mod in ((self._h1, pw[0] % _MOD1, _MOD1), (self._h2, pw[1] % _MOD2, _MOD2)):
-                hv = np.frombuffer(h, dtype=np.int64)
-                try:
-                    keys = (keys << 31) | ((hv[ends] - hv[starts] * p) % mod)  # |.| < 2**62
-                finally:
-                    del hv  # also when indexing raises, so no traceback keeps the view
-        return keys
+            pw = _POW[low] * self._high[high] % _MOD  # B**length; the product is < 2**62
+            hv = np.frombuffer(self._h, dtype=np.int64)
+            try:
+                return (hv[ends] - hv[starts] * pw) % _MOD  # |.| < 2**62
+            finally:
+                del hv  # also when indexing raises, so no traceback keeps the view
 
     def equal_blocks(self, a: int, b: int, length: int) -> bool:
         """Exact equality of the two length-``length`` blocks at ``a`` and ``b``.

@@ -14,10 +14,10 @@ Ultimately periodic words head . tail^omega, the shape of every word that
 avoids 3-anti-powers, come from one generator, ``LiteralWord``, which tiles
 the tail in bulk; ``PeriodicWord`` is the case with an empty head.
 
-Memory: a hashed prefix costs a word ~18 bytes per symbol (its symbol
-buffer, the hash table's copy of it and two int64 hash arrays;
+Memory: a hashed prefix costs a word ~10 bytes per symbol (its symbol
+buffer, the hash table's copy of it and one int64 hash array;
 tracemalloc, Thue-Morse); its own power table stays under 10 KB.  A word
-hashed to DEFAULT_CAP holds ~182 MB, with a peak RSS of ~220 MB, all
+hashed to DEFAULT_CAP holds ~101 MB, with a peak RSS of ~159 MB, all
 freed with the word.
 """
 

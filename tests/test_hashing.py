@@ -18,34 +18,34 @@ from antipower import (
     PeriodicWord,
     ThueMorseWord,
     Word,
+    anti_power_at_position,
+    ap_min,
     ap_set,
     extract_power_witness,
     naive_is_k_anti_power,
+    naive_is_k_power,
     p_set,
 )
 from antipower import hashing
 from antipower.hashing import PrefixHashes
 from antipower.sets import prefix_is_k_anti_power
 
-MODULI = ((1_000_003, 2147483647), (1_000_033, 2147483629))
+BASE, MOD = 1_000_003, 2147483647
 
 
 def reference_block(data, start, length):
-    """The block hash pair from its definition, in Python ints: an independent oracle."""
-    pair = []
-    for base, mod in MODULI:
-        v = 0
-        for c in data[start : start + length]:
-            v = (v * base + c + 1) % mod
-        pair.append(v)
-    return tuple(pair)
+    """The block hash from its definition, in Python ints: an independent oracle."""
+    v = 0
+    for c in data[start : start + length]:
+        v = (v * BASE + c + 1) % MOD
+    return v
 
 
 class CollidingHashes(PrefixHashes):
     """Degenerate table whose hash filter always fires, forcing confirmation."""
 
     def block(self, start, length):
-        return (0, 0)
+        return 0
 
     def block_keys(self, starts, lengths):
         return np.zeros(np.broadcast_shapes(np.shape(starts), np.shape(lengths)), dtype=np.int64)
@@ -152,7 +152,7 @@ def test_powers_split_at_chunk_multiples_match_the_definition():
     high = []
     while len(ph) < len(data):
         ph.extend(data[len(ph) : len(ph) + next(steps)])
-        high.append(ph._high.shape[1])
+        high.append(len(ph._high))
     assert high[-1] == 4 and len(set(high)) == 4
     for q in (1, 2, 3):
         for length in (q * chunk - 1, q * chunk, q * chunk + 1):
@@ -163,13 +163,12 @@ def test_powers_split_at_chunk_multiples_match_the_definition():
             assert [ph.block(a, length) for a in starts] == want
             # a scalar length broadcasts over many starts
             keys = ph.block_keys(np.array(starts), length).tolist()
-            assert keys == [(v1 << 31) | v2 for v1, v2 in want]
+            assert keys == want
     starts = rng.sample(range(len(data) - chunk - 1), 40)
     lengths = [rng.choice((chunk - 1, chunk, chunk + 1)) for _ in starts]
     keys = ph.block_keys(np.array(starts), np.array(lengths)).tolist()
     for a, length, key in zip(starts, lengths, keys):
-        v1, v2 = reference_block(data, a, length)
-        assert key == (v1 << 31) | v2
+        assert key == reference_block(data, a, length)
 
 
 def test_a_deleted_table_frees_its_memory():
@@ -185,10 +184,10 @@ def test_a_deleted_table_frees_its_memory():
     finally:
         tracemalloc.stop()
     assert left < 1 << 20, left
-    assert held < 20 * n, held / n
+    assert held < 12 * n, held / n
 
 
-def test_block_keys_pack_the_scalar_pairs():
+def test_block_keys_are_the_scalar_hashes():
     rng = random.Random(9)
     data = bytes(rng.randrange(3) for _ in range(3000))
     ph = PrefixHashes(data)
@@ -196,8 +195,7 @@ def test_block_keys_pack_the_scalar_pairs():
     lengths = np.array([rng.randrange(1, 1000) for _ in range(400)])
     keys = ph.block_keys(starts, lengths).tolist()
     for a, length, key in zip(starts.tolist(), lengths.tolist(), keys):
-        v1, v2 = ph.block(a, length)
-        assert key == (v1 << 31) | v2
+        assert key == ph.block(a, length)
     # a scalar length broadcasts over many starts
     assert ph.block_keys(starts, 5).tolist() == [ph.block_keys(a, 5) for a in starts.tolist()]
 
@@ -238,7 +236,7 @@ def test_many_small_extends_equal_one_bulk_build():
         step = rng.choice((1, 2, 3, 17, 250, 4000))
         grown.extend(data[len(grown) : len(grown) + step])
     assert len(grown) == len(data)
-    assert grown._h1 == whole._h1 and grown._h2 == whole._h2
+    assert grown._h == whole._h
     starts = np.arange(0, len(data) - 300, 97)
     assert (grown.block_keys(starts, 300) == whole.block_keys(starts, 300)).all()
 
@@ -264,7 +262,7 @@ def test_concurrent_builds_equal_a_serial_build():
         sys.setswitchinterval(interval)
     for data, ph in zip(datas, tables):
         serial = PrefixHashes(data)
-        assert ph._h1 == serial._h1 and ph._h2 == serial._h2
+        assert ph._h == serial._h
         for _ in range(50):
             length = rng.randrange(1, 400)
             a = rng.randrange(0, len(data) - length)
@@ -368,3 +366,45 @@ def test_a_tied_unequal_pair_does_not_hide_an_equal_pair():
     ph = TiedKeys(b"\x00\x01\x02\x03")
     assert ph.distinct_blocks(0, 1, 4) is True
     assert ph.distinct_blocks(0, np.array([1]), 4).tolist() == [True]
+
+
+def colliding_blocks(length, n, seed):
+    """Two distinct blocks of one length with equal keys, from a seeded random word of n bytes."""
+    data = random.Random(seed).randbytes(n)
+    keys = PrefixHashes(data).block_keys(np.arange(n - length + 1), length)
+    order = keys.argsort(kind="stable")
+    for i in np.flatnonzero(keys[order][1:] == keys[order][:-1]).tolist():
+        u, v = (data[a : a + length] for a in order[i : i + 2].tolist())
+        if u != v:
+            return u, v
+    return None
+
+
+def test_a_real_collision_changes_no_answer():
+    # 31-bit keys: a birthday search among 200 000 blocks finds equal keys of
+    # distinct blocks, and the word u.v.u.v... puts such a pair side by side
+    found = colliding_blocks(8, 200_000, seed=1)
+    assert found is not None, "no colliding pair of blocks"
+    u, v = found
+    x = PeriodicWord(Word(u + v, 256))
+    sym = x.prefix(400).symbols
+    ph = PrefixHashes(sym)
+    assert ph.block_keys(0, 8) == ph.block_keys(8, 8) and not ph.equal_blocks(0, 8, 8)
+
+    def anti_power(start, k, m):
+        return naive_is_k_anti_power(Word(sym[start : start + k * m], 256), k)
+
+    for k in (2, 3, 4):
+        lengths = np.arange(1, 400 // k + 1)
+        want = [anti_power(0, k, m) for m in lengths.tolist()]
+        assert ph.distinct_blocks(0, lengths, k).tolist() == want
+        assert ph.distinct_blocks(0, 8, k) is want[7]
+        assert ap_set(x, k, 40).members == tuple(m for m in range(1, 41) if want[m - 1])
+        assert ap_min(x, k, 40) == next((m for m in range(1, 41) if want[m - 1]), None)
+        powers = tuple(m for m in range(1, 41) if naive_is_k_power(Word(sym[: k * m], 256), k))
+        assert p_set(x, k, 40).members == powers
+        for pos in range(1, 17):
+            first = next((e for e in range(1, 21) if anti_power(pos - 1, k, e)), None)
+            assert anti_power_at_position(x, k, pos, 20) == first
+    assert ph.distinct_blocks(0, 8, 2) is True  # u and v: equal keys, distinct blocks
+    assert 8 not in p_set(x, 2, 40).members
