@@ -2,9 +2,10 @@
 
 Subcommands cover generation, the shortest-anti-power-prefix table, factor
 checks and scans, the N(l, k) search, witness extraction, and density
-traces.  JSON output is wrapped in a {command, params, result, elapsed_ms}
+traces.  JSON output is wrapped in a {command, params, result}
 envelope; CSV and text modes emit the bare payload so tables can be diffed
-against golden rows directly.
+against golden rows directly.  Every output is a function of the arguments
+alone: identical invocations print identical bytes.
 
 Exit codes: 0 holds/found/exact, 1 negative-but-valid (fails, not-found,
 lower bound only), 2 usage or parse error, 3 materialization cap exceeded,
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from .detect import is_k_anti_power, is_k_power
 from .ramsey import EXACT, SearchParams, compute_n
@@ -32,14 +32,8 @@ EXIT_CAP = 3
 EXIT_BUDGET = 4
 
 
-def _envelope(command: str, params: dict, result, started: float) -> str:
-    payload = {
-        "command": command,
-        "params": params,
-        "result": result,
-        "elapsed_ms": int((time.monotonic() - started) * 1000),
-    }
-    return json.dumps(payload)
+def _envelope(command: str, params: dict, result) -> str:
+    return json.dumps({"command": command, "params": params, "result": result})
 
 
 def _parse_orders(text: str) -> list[int]:
@@ -57,21 +51,19 @@ def _parse_orders(text: str) -> list[int]:
 
 
 def _cmd_generate(args) -> int:
-    started = time.monotonic()
     x = parse_generator(args.generator, cap=args.cap)
     if args.length < 0:
         raise ValueError("length must be non-negative")
     w = x.prefix(args.length)
     if args.format == "json":
         result = {"generator": x.name, "length": args.length, "word": w.to_json_value()}
-        print(_envelope("generate", {"generator": x.name, "length": args.length}, result, started))
+        print(_envelope("generate", {"generator": x.name, "length": args.length}, result))
     else:
         print(w.to_text())
     return EXIT_OK
 
 
 def _cmd_ap_table(args) -> int:
-    started = time.monotonic()
     x = parse_generator(args.generator, cap=args.cap)
     orders = _parse_orders(args.orders)
     if any(k < 2 for k in orders):
@@ -85,7 +77,7 @@ def _cmd_ap_table(args) -> int:
                 {"k": k, "m": m, "length": None if m is None else k * m} for k, m in rows
             ],
         }
-        print(_envelope("ap-table", {"generator": x.name, "orders": args.orders}, result, started))
+        print(_envelope("ap-table", {"generator": x.name, "orders": args.orders}, result))
     else:
         print("k,m,length")
         for k, m in rows:
@@ -113,7 +105,6 @@ def _check_target_word(args) -> Word:
 
 
 def _cmd_check(args) -> int:
-    started = time.monotonic()
     k = args.k
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -134,7 +125,7 @@ def _cmd_check(args) -> int:
             result = {"verdict": "found" if hit else "not-found"}
             if hit:
                 result["position"], result["block_length"] = hit
-            print(_envelope("check", {"target": args.target, "k": k, "mode": args.mode}, result, started))
+            print(_envelope("check", {"target": args.target, "k": k, "mode": args.mode}, result))
         elif hit:
             print(f"found position={hit[0]} block_length={hit[1]}")
         else:
@@ -145,14 +136,13 @@ def _cmd_check(args) -> int:
     verdict = is_k_anti_power(w, k) if args.mode == "anti-power" else is_k_power(w, k)
     if args.format == "json":
         result = {"verdict": "holds" if verdict else "fails"}
-        print(_envelope("check", {"target": args.target, "k": k, "mode": args.mode}, result, started))
+        print(_envelope("check", {"target": args.target, "k": k, "mode": args.mode}, result))
     else:
         print("holds" if verdict else "fails")
     return EXIT_OK if verdict else EXIT_NEGATIVE
 
 
 def _cmd_search_n(args) -> int:
-    started = time.monotonic()
     params = SearchParams(l=args.l, k=args.k, alphabet_size=args.alphabet, length_cap=args.cap, workers=args.workers)
     outcome = compute_n(params)
     print(
@@ -160,7 +150,6 @@ def _cmd_search_n(args) -> int:
             "search-n",
             {"l": args.l, "k": args.k, "alphabet": args.alphabet, "cap": args.cap},
             outcome.to_json(),
-            started,
         )
     )
     return EXIT_OK if outcome.status == EXACT else EXIT_NEGATIVE
@@ -180,7 +169,6 @@ def _cmd_n_table(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    started = time.monotonic()
     x = parse_generator(args.generator, cap=args.cap)
     res = extract_power_witness(x, args.k, args.l, budget=args.budget)
     if isinstance(res, WitnessEvidence):
@@ -192,14 +180,12 @@ def _cmd_witness(args) -> int:
             "witness",
             {"generator": x.name, "k": args.k, "l": args.l, "budget": args.budget},
             result,
-            started,
         )
     )
     return EXIT_OK
 
 
 def _cmd_density(args) -> int:
-    started = time.monotonic()
     x = parse_generator(args.generator, cap=args.cap)
     index_set = (ap_set if args.kind == "ap" else p_set)(x, args.k, args.horizon)
     est = density_estimate(index_set)
@@ -214,7 +200,7 @@ def _cmd_density(args) -> int:
             "ratios": [[n + 1, d.numerator, d.denominator] for n, d in enumerate(est.ratios)],
             "min_tail": [est.min_tail.numerator, est.min_tail.denominator],
         }
-        print(_envelope("density", {"generator": x.name, "kind": args.kind, "k": args.k}, result, started))
+        print(_envelope("density", {"generator": x.name, "kind": args.kind, "k": args.k}, result))
     else:
         print("# finite lower-density estimate (not the liminf)")
         print(f"# generator={x.name} kind={args.kind} k={args.k} horizon={args.horizon}")

@@ -39,18 +39,6 @@ class IndexSet:
     horizon: int
     members: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "generator": self.x.name,
-            "k": self.k,
-            "horizon": self.horizon,
-            "members": list(self.members),
-        }
-
-    def to_csv(self) -> str:
-        return "m\n" + "".join(f"{m}\n" for m in self.members)
-
 
 @dataclass(frozen=True)
 class DensityEstimate:
