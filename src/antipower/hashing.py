@@ -4,7 +4,9 @@ The hash of the first i symbols is h[i] = sum_{j<i} (c_j + 1) * B**(i-1-j)
 mod p.  A table is built in fixed-size chunks: inside a chunk,
 h[lo + i] = B**i * (h[lo] + S_i) with S_i the int64 cumsum of
 (c_{lo+j} + 1) * B**-(j+1), so temporaries stay bounded and no sum
-overflows.  The hashes live in ``array('q')``.  B**length is the product of
+overflows.  The hashes live in ``array('i')``, 4 bytes each: every hash is
+reduced mod p < 2**31, so it fits a signed 32-bit int, and the gathers
+upcast it against the int64 powers.  B**length is the product of
 two small tables: the fixed B**j for j <= _CHUNK, which with the B**-j table
 is all a build needs, and each table's own B**(q * _CHUNK) for
 q <= len // _CHUNK, grown by ``extend`` under the table's lock.  The
@@ -64,7 +66,7 @@ class PrefixHashes:
 
     def __init__(self, symbols: Iterable[int] = b"") -> None:
         self._sym = bytearray()
-        self._h = array("q", [0])
+        self._h = array("i", [0])
         self._high = np.ones(1, dtype=np.int64)  # B**(q * _CHUNK) for q <= len // _CHUNK
         # held while the tables are resized or a buffer view of them is alive
         self._lock = threading.Lock()
@@ -88,7 +90,7 @@ class PrefixHashes:
                 s %= _MOD
                 s *= _POW[1 : n + 1]
                 s %= _MOD
-                self._h.frombytes(memoryview(s).cast("B"))
+                self._h.frombytes(memoryview(s.astype(np.int32)).cast("B"))
                 last = int(s[-1])
             self._sym.extend(data)
             have, need = len(self._high), len(self._sym) // _CHUNK + 1
@@ -115,7 +117,7 @@ class PrefixHashes:
         # an array that still exports its buffer
         with self._lock:
             pw = _POW[low] * self._high[high] % _MOD  # B**length; the product is < 2**62
-            hv = np.frombuffer(self._h, dtype=np.int64)
+            hv = np.frombuffer(self._h, dtype=np.int32)
             try:
                 return (hv[ends] - hv[starts] * pw) % _MOD  # |.| < 2**62
             finally:

@@ -4,8 +4,9 @@ The extension search has no loop of its own: it runs on the explicit-stack
 DFS engine ramsey.extension_dfs that also builds the N(l, k) search's
 frontier.
 
-The factor scan is exact and involves no hashing.  It names every factor
-of a power-of-two length p by its rank among those factors
+The factor scan is exact and reads no hash (only the prefix it scans is
+hashed, as ``words`` hashes every symbol it materializes).  It names every
+factor of a power-of-two length p by its rank among those factors
 (Karp-Miller-Rosenberg doubling), so a block of length p <= ell < 2p is
 named by the pair (name at its start, name of its last p symbols), and two
 blocks are equal exactly when their pairs are.  Per block length, one

@@ -87,22 +87,23 @@ def _scan_lengths(x: InfiniteWord, k: int, start: int, first: int, last: int, ch
         rows = min(2 * rows, max(_FIRST_ROWS, _BATCH_KEYS // k))
 
 
-def ap_set(x: InfiniteWord, k: int, horizon: int) -> IndexSet:
-    """All m <= horizon whose km-prefix of x is a k-anti-power."""
+def _prefix_set(kind: str, check, x: InfiniteWord, k: int, horizon: int) -> IndexSet:
+    """All m <= horizon whose km-prefix of x passes the row check ``check``."""
     if k < 1 or horizon < 1:
         raise ValueError("k and horizon must be >= 1")
     x.hashes(k * horizon)  # one build, and the cap error before any work
-    members = tuple(m for m, ap in _scan_lengths(x, k, 0, 1, horizon, prefix_is_k_anti_power) if ap)
-    return IndexSet(kind=ANTI_POWER_SET, x=x, k=k, horizon=horizon, members=members)
+    members = tuple(m for m, hit in _scan_lengths(x, k, 0, 1, horizon, check) if hit)
+    return IndexSet(kind=kind, x=x, k=k, horizon=horizon, members=members)
+
+
+def ap_set(x: InfiniteWord, k: int, horizon: int) -> IndexSet:
+    """All m <= horizon whose km-prefix of x is a k-anti-power."""
+    return _prefix_set(ANTI_POWER_SET, prefix_is_k_anti_power, x, k, horizon)
 
 
 def p_set(x: InfiniteWord, k: int, horizon: int) -> IndexSet:
     """All m <= horizon whose km-prefix of x is a k-power."""
-    if k < 1 or horizon < 1:
-        raise ValueError("k and horizon must be >= 1")
-    x.hashes(k * horizon)  # one build, and the cap error before any work
-    members = tuple(m for m, power in _scan_lengths(x, k, 0, 1, horizon, _power_rows) if power)
-    return IndexSet(kind=POWER_SET, x=x, k=k, horizon=horizon, members=members)
+    return _prefix_set(POWER_SET, _power_rows, x, k, horizon)
 
 
 def ap_min(x: InfiniteWord, k: int, limit: int) -> int | None:

@@ -5,20 +5,22 @@ size).  Infinite words are 1-based: x = x_1 x_2 x_3 ...  Each generator's
 one hook ``_bulk(lo, hi)`` is a pure function of the positions; it serves
 ``symbol_at(n)`` as ``_bulk(n, n)`` and prefix materialization, which
 caches symbols internally but is observationally pure.  Fibonacci's
-``_bulk`` grows the whole word up to hi, so its ``symbol_at`` is a closed
-form instead.  Thue-Morse and the recurrent avoider join whole aligned
-runs chosen by the digits of each run's index: c symbols peak at 5c
-bytes, the result included (tracemalloc).
+``_bulk`` builds the whole word up to hi afresh on each call, so its
+``symbol_at`` is a closed form instead.  Thue-Morse and the recurrent
+avoider join whole aligned runs chosen by the digits of each run's index:
+c symbols peak at 5c bytes, the result included (tracemalloc).
 
 Ultimately periodic words head . tail^omega, the shape of every word that
 avoids 3-anti-powers, come from one generator, ``LiteralWord``, which tiles
 the tail in bulk; ``PeriodicWord`` is the case with an empty head.
 
-Memory: a hashed prefix costs a word ~10 bytes per symbol (its symbol
-buffer, the hash table's copy of it and one int64 hash array;
-tracemalloc, Thue-Morse); its own power table stays under 10 KB.  A word
-hashed to DEFAULT_CAP holds ~101 MB, with a peak RSS of ~159 MB, all
-freed with the word.
+Memory: a word keeps its materialized symbols once, in its prefix-hash
+table, and ``prefix`` copies them out of it, so every materialized symbol
+is hashed.  That costs ~5 bytes per symbol (the symbol and its 4-byte
+hash; tracemalloc, Thue-Morse and Fibonacci), and the table's own power
+table stays under 10 KB.  A word hashed to DEFAULT_CAP holds ~51 MB, with
+a peak RSS of ~100 MB, all freed with the word; ``prefix(DEFAULT_CAP)``
+alone takes ~0.4 s and the same ~100 MB.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ DEFAULT_CAP = 10_000_000
 _LETTERS = string.ascii_lowercase
 
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+# symbol -> ASCII character, for Word.to_text
+_DIGITS = bytes.maketrans(bytes(range(10)), string.digits.encode())
+_ALPHA = bytes.maketrans(bytes(range(26)), _LETTERS.encode())
 
 
 class MaterializationCapError(RuntimeError):
@@ -82,11 +87,10 @@ class Word:
 
     def to_text(self) -> str:
         """ASCII rendering: digits for alphabets up to 10, letters up to 26."""
-        if self.alphabet_size <= 10:
-            return "".join(str(c) for c in self.symbols)
-        if self.alphabet_size <= 26:
-            return "".join(_LETTERS[c] for c in self.symbols)
-        raise ValueError("no ASCII rendering for alphabets larger than 26; serialize as integers")
+        if self.alphabet_size > 26:
+            raise ValueError("no ASCII rendering for alphabets larger than 26; serialize as integers")
+        table = _DIGITS if self.alphabet_size <= 10 else _ALPHA
+        return self.symbols.translate(table).decode("ascii")
 
     def to_json_value(self):
         """JSON form: ASCII string for small alphabets, list of ints otherwise."""
@@ -133,9 +137,9 @@ class InfiniteWord:
     """Deterministic indexable symbol source with cached prefix materialization.
 
     Subclasses implement ``_bulk(lo, hi)``: the symbols at positions lo..hi
-    inclusive, 1 <= lo <= hi.  ``prefix`` and ``hashes`` cache materialized
-    symbols; repeated calls agree on the common prefix, and caching is
-    invisible to callers (safe under concurrency).
+    inclusive, 1 <= lo <= hi.  ``prefix`` and ``hashes`` share one cache,
+    the word's prefix-hash table; repeated calls agree on the common prefix,
+    and caching is invisible to callers (safe under concurrency).
     """
 
     alphabet_size = 2
@@ -143,9 +147,8 @@ class InfiniteWord:
 
     def __init__(self, cap: int = DEFAULT_CAP) -> None:
         self.cap = int(cap)
-        self._buf = bytearray()
-        self._hashes = PrefixHashes()
-        self._lock = threading.Lock()
+        self._hashes = PrefixHashes()  # the one store of the materialized symbols
+        self._lock = threading.Lock()  # taken before the table's own lock
 
     def symbol_at(self, n: int) -> int:
         if n < 1:
@@ -153,15 +156,16 @@ class InfiniteWord:
         return self._bulk(n, n)[0]
 
     def _ensure(self, n: int) -> None:
+        """Grow the table to n symbols or more: at least doubled, so one extend per doubling, never past the cap."""
         if n > self.cap:
             raise MaterializationCapError(
                 f"{self.name}: prefix of length {n} exceeds the materialization cap {self.cap}; "
                 "construct the generator with a larger cap to proceed"
             )
         with self._lock:
-            have = len(self._buf)
+            have = len(self._hashes)
             if have < n:
-                self._buf.extend(self._bulk(have + 1, n))
+                self._hashes.extend(self._bulk(have + 1, min(self.cap, max(n, 2 * have))))
 
     def prefix(self, n: int) -> Word:
         """The first n symbols as a finite word."""
@@ -170,24 +174,13 @@ class InfiniteWord:
         if n == 0:
             return Word(b"", self.alphabet_size)
         self._ensure(n)
-        return Word(bytes(self._buf[:n]), self.alphabet_size)
+        ph = self._hashes
+        with ph._lock:  # no extend resizes the symbols while they are copied
+            return Word(bytes(memoryview(ph._sym)[:n]), self.alphabet_size)
 
     def hashes(self, n: int) -> PrefixHashes:
-        """Shared prefix-hash table covering at least the first n symbols.
-
-        The table grows to at least twice its length (never past the cap), so
-        callers stepping n up a few symbols at a time pay one vectorized
-        extend per doubling.
-        """
+        """Shared prefix-hash table covering at least the first n symbols."""
         self._ensure(n)
-        have = len(self._hashes)
-        if have < n:
-            target = min(self.cap, max(n, 2 * have))
-            self._ensure(target)
-            with self._lock:
-                have = len(self._hashes)
-                if have < target:
-                    self._hashes.extend(self._buf[have:target])
         return self._hashes
 
     def __repr__(self) -> str:
@@ -221,16 +214,12 @@ class FibonacciWord(InfiniteWord):
 
     name = "fibonacci"
 
-    def __init__(self, cap: int = DEFAULT_CAP) -> None:
-        super().__init__(cap)
-        # S_{m+1} = S_m + S_{m-1}; every S_m is a prefix of the fixed point
-        self._prev = b"\x00"
-        self._cur = b"\x00\x01"
-
     def _bulk(self, lo: int, hi: int) -> bytes:
-        while len(self._cur) < hi:
-            self._prev, self._cur = self._cur, self._cur + self._prev
-        return self._cur[lo - 1 : hi]
+        # S_{m+1} = S_m + S_{m-1}; every S_m is a prefix of the fixed point
+        prev, cur = b"\x00", b"\x00\x01"
+        while len(cur) < hi:
+            prev, cur = cur, cur + prev
+        return cur[lo - 1 : hi]
 
     def symbol_at(self, n: int) -> int:
         """Symbol n is 2 + floor(n phi) - floor((n + 1) phi): no buffer grows, whatever n."""

@@ -184,7 +184,23 @@ def test_a_deleted_table_frees_its_memory():
     finally:
         tracemalloc.stop()
     assert left < 1 << 20, left
-    assert held < 12 * n, held / n
+    # 1 byte of symbols and a 4-byte hash per symbol
+    assert held < 6 * n, held / n
+
+
+@pytest.mark.parametrize("make", [ThueMorseWord, FibonacciWord])
+def test_a_hashed_word_keeps_its_symbols_once(make):
+    n = 2_000_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        x = make()
+        ph = x.hashes(n)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert ph._h.itemsize == 4  # np.frombuffer reads the hashes as int32
+    assert held < 6 * len(ph), held / len(ph)
 
 
 def test_block_keys_are_the_scalar_hashes():
@@ -408,3 +424,29 @@ def test_a_real_collision_changes_no_answer():
             assert anti_power_at_position(x, k, pos, 20) == first
     assert ph.distinct_blocks(0, 8, 2) is True  # u and v: equal keys, distinct blocks
     assert 8 not in p_set(x, 2, 40).members
+
+
+def test_one_word_materialized_hashed_and_compared_from_many_threads():
+    # prefix copies the symbols out of the table that hashes grows and
+    # equal_blocks reads, all on the same word at the same time
+    x = FibonacciWord()
+    f = FibonacciWord().prefix(80000).symbols
+
+    def work(i):
+        n = 200 + 1327 * i
+        if i % 3 == 0:
+            return x.prefix(n).symbols == f[:n]
+        if i % 3 == 1:
+            ph = x.hashes(n)
+            return len(ph) >= n and ph.block(0, n) == reference_block(f, 0, n)
+        m = n // 2
+        return x.hashes(n).equal_blocks(0, m, m) == (f[:m] == f[m : 2 * m]) and x.hashes(n).equal_blocks(1, 6, 4)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            results = list(pool.map(work, range(60), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(results)

@@ -1,6 +1,7 @@
 """Generators and finite words: fixed expansions plus structural laws."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -48,6 +49,29 @@ def test_word_rendering_beyond_small_alphabets():
     with pytest.raises(ValueError):
         big.to_text()
     assert big.to_json_value() == [0, 200]
+
+
+def test_to_text_renders_each_symbol():
+    rng = random.Random(6)
+    for alphabet in range(1, 27):
+        w = Word(bytes(rng.randrange(alphabet) for _ in range(500)) + bytes([alphabet - 1]), alphabet)
+        chars = "0123456789" if alphabet <= 10 else "abcdefghijklmnopqrstuvwxyz"
+        assert w.to_text() == "".join(chars[c] for c in w.symbols), alphabet
+        assert Word.from_text(w.to_text()).symbols == w.symbols
+
+
+def test_to_text_peaks_at_a_few_bytes_per_symbol():
+    n = 1_000_000
+    w = ThueMorseWord().prefix(n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = w.to_text()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(text) == n and set(text) == {"0", "1"}
+    assert peak < 4 * n, peak / n
 
 
 def test_word_slicing_and_concat():
@@ -210,7 +234,7 @@ def test_fibonacci_symbol_at_is_closed_form():
     capped = FibonacciWord(cap=100)
     for n in (10**12, 10**12 + 1, 10**18 + 7):
         assert capped.symbol_at(n) == zeckendorf_fibonacci_at(n), n
-    assert capped._cur == b"\x00\x01" and len(capped._buf) == 0
+    assert len(capped._hashes) == 0
     with pytest.raises(ValueError):
         capped.symbol_at(0)
 
