@@ -197,7 +197,7 @@ def _cmd_density(args) -> int:
             "k": args.k,
             "horizon": args.horizon,
             "note": "finite lower-density estimate (not the liminf)",
-            "ratios": [[n + 1, d.numerator, d.denominator] for n, d in enumerate(est.ratios)],
+            "ratios": list(map(list, zip(range(1, args.horizon + 1), est.numerators, est.denominators))),
             "min_tail": [est.min_tail.numerator, est.min_tail.denominator],
         }
         print(_envelope("density", {"generator": x.name, "kind": args.kind, "k": args.k}, result))
@@ -205,8 +205,7 @@ def _cmd_density(args) -> int:
         print("# finite lower-density estimate (not the liminf)")
         print(f"# generator={x.name} kind={args.kind} k={args.k} horizon={args.horizon}")
         print("n,numerator,denominator")
-        for n, d in enumerate(est.ratios, start=1):
-            print(f"{n},{d.numerator},{d.denominator}")
+        print("\n".join(map("{},{},{}".format, range(1, args.horizon + 1), est.numerators, est.denominators)))
         print(f"# min_tail over n in [{tail_start}..{args.horizon}]: {est.min_tail.numerator}/{est.min_tail.denominator}")
     return EXIT_OK
 

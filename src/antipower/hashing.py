@@ -18,12 +18,14 @@ one block.  Distinct keys prove distinct blocks; equal keys prove nothing.
 
 A hash match is never taken as proof of equality: ``equal_blocks``
 compares the symbols themselves, and ``distinct_blocks``, the one
-hash-filtered distinctness check, confirms a row's first shared-key pair
-through ``equal_blocks``, comparing all of the row's blocks only on a
-collision.  That is why one modulus is enough: a collision costs a
-comparison, never a wrong answer, so a second modulus would only make the
-rare collision rarer, at twice the table and the arithmetic.  The modulus
-and base are fixed constants so that runs are bit-for-bit reproducible.
+hash-filtered distinctness check, confirms one pair per shared-key row
+through ``equal_blocks``: the first two of the row's blocks that carry
+its least shared key, the pair a stable sort of the row's keys would put
+first.  It compares all of the row's blocks only on a collision.  That is
+why one modulus is enough: a collision costs a comparison, never a wrong
+answer, so a second modulus would only make the rare collision rarer, at
+twice the table and the arithmetic.  The modulus and base are fixed
+constants so that runs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -138,19 +140,24 @@ class PrefixHashes:
         """Are the k consecutive blocks of each length from ``start`` pairwise distinct?
 
         An int of ``lengths`` gets a bool, an int array a bool array.  A row
-        whose k keys all differ is distinct; any other row is settled by its
-        first shared-key pair or, if that pair is a collision, by all k blocks.
+        whose k keys all differ is distinct; any other row is settled by the
+        first two of its blocks that carry its least shared key or, if that
+        pair is a collision, by all k blocks.
         """
         m = np.reshape(lengths, (-1, 1))
         keys = self.block_keys(start + m * np.arange(k), m)
-        order = keys.argsort(axis=1, kind="stable")
-        keys.sort(axis=1)  # row by row, the keys in that order
-        shared = keys[:, 1:] == keys[:, :-1]
+        ranked = np.sort(keys, axis=1)
+        shared = ranked[:, 1:] == ranked[:, :-1]
         distinct = ~shared.any(axis=1)
         rows = np.flatnonzero(~distinct)
-        col = shared[rows].argmax(axis=1) if rows.size else rows  # first shared pair (no rows if k = 1)
+        if rows.size:  # none if k = 1
+            least = ranked[rows, shared[rows].argmax(axis=1)]  # each row's least shared key
+            carry = keys[rows] == least[:, None]  # the blocks that carry it
+            first, second = carry.argmax(axis=1), (carry.cumsum(axis=1) == 2).argmax(axis=1)
+        else:
+            first = second = rows
         m = m[rows, 0]
-        a, b = start + order[rows, col] * m, start + order[rows, col + 1] * m
+        a, b = start + first * m, start + second * m
         for r, length, i, j in zip(rows.tolist(), m.tolist(), a.tolist(), b.tolist()):
             if not self.equal_blocks(i, j, length):  # a hash collision: compare every block
                 distinct[r] = len({self.symbols(start + t * length, length) for t in range(k)}) == k

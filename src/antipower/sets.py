@@ -9,7 +9,12 @@ One loop, ``_scan_lengths``, hands block lengths in doubling batches to
 a row check for these sets, ``ap_min``, ``scan.anti_power_at_position`` and
 the witness scan.  Anti-power rows go through the exact
 ``PrefixHashes.distinct_blocks``.  A km-prefix is a k-power exactly when
-it has period m, which one ``equal_blocks`` call settles.
+it has period m.  ``p_set`` compares symbols only for a row whose two
+period blocks share a key.  Once its scan knows a prefix of period q, one
+``equal_blocks`` call over the symbols past that prefix confirms a row
+whose length is a multiple of q, since a prefix of period q has every
+multiple of q as a period.  Any other row, and one whose extension fails,
+compares its whole period.
 """
 
 from __future__ import annotations
@@ -44,14 +49,22 @@ class IndexSet:
 class DensityEstimate:
     """d_n = |X intersect {1..n}| / n for n = 1..horizon, as exact rationals.
 
+    ``numerators[n - 1] / denominators[n - 1]`` is d_n in lowest terms (0 is
+    0/1), and ``ratios`` gives the same values as ``Fraction``s.
     ``min_tail`` is the minimum of d_n over the back half-window
     [ceil(horizon/2), horizon], a surrogate for the liminf, clearly not
     the liminf itself.
     """
 
     horizon: int
-    ratios: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominators: tuple[int, ...]
     min_tail: Fraction
+
+    @property
+    def ratios(self) -> tuple[Fraction, ...]:
+        """d_1 .. d_horizon as ``Fraction``s."""
+        return tuple(map(Fraction, self.numerators, self.denominators))
 
 
 def prefix_is_k_anti_power(ph: PrefixHashes, k: int, m: int | np.ndarray) -> bool | np.ndarray:
@@ -64,11 +77,31 @@ def prefix_is_k_power(ph: PrefixHashes, k: int, m: int) -> bool:
     return ph.equal_blocks(0, m, (k - 1) * m)
 
 
-def _power_rows(ph: PrefixHashes, k: int, m: np.ndarray) -> np.ndarray:
-    """k-power flags of the km-prefixes: period blocks with equal keys, confirmed exactly."""
-    flags = ph.block_keys(0, (k - 1) * m) == ph.block_keys(m, (k - 1) * m)
-    flags[flags] = [prefix_is_k_power(ph, k, r) for r in m[flags].tolist()]
-    return flags
+def _power_rows():
+    """A fresh k-power row check for one ``p_set`` scan: period blocks with equal keys, confirmed exactly.
+
+    Across batches the check keeps the last confirmed period q and a prefix
+    length ``reach`` known to have period q; a key-equal row r with q | r
+    first tries to extend that period from ``reach`` to kr.
+    """
+    q = reach = 0  # no prefix of known period yet
+
+    def power(ph: PrefixHashes, k: int, r: int) -> bool:
+        nonlocal q, reach
+        if q and r % q == 0 and ph.equal_blocks(reach - q, reach, k * r - reach):
+            reach = k * r
+            return True
+        if prefix_is_k_power(ph, k, r):
+            q, reach = r, k * r
+            return True
+        return False
+
+    def check(ph: PrefixHashes, k: int, m: np.ndarray) -> np.ndarray:
+        flags = ph.block_keys(0, (k - 1) * m) == ph.block_keys(m, (k - 1) * m)
+        flags[flags] = [power(ph, k, r) for r in m[flags].tolist()]
+        return flags
+
+    return check
 
 
 def _scan_lengths(x: InfiniteWord, k: int, start: int, first: int, last: int, check):
@@ -103,7 +136,7 @@ def ap_set(x: InfiniteWord, k: int, horizon: int) -> IndexSet:
 
 def p_set(x: InfiniteWord, k: int, horizon: int) -> IndexSet:
     """All m <= horizon whose km-prefix of x is a k-power."""
-    return _prefix_set(POWER_SET, _power_rows, x, k, horizon)
+    return _prefix_set(POWER_SET, _power_rows(), x, k, horizon)
 
 
 def ap_min(x: InfiniteWord, k: int, limit: int) -> int | None:
@@ -120,13 +153,22 @@ def density_estimate(s: IndexSet) -> DensityEstimate:
     """Exact rational d_n for n = 1..horizon plus the tail-half minimum."""
     if s.horizon < 2:
         raise ValueError("horizon must be >= 2")
-    ratios = []
-    count = 0
-    members = set(s.members)
-    for n in range(1, s.horizon + 1):
-        if n in members:
-            count += 1
-        ratios.append(Fraction(count, n))
-    tail_start = -(-s.horizon // 2)  # ceil(horizon / 2)
-    min_tail = min(ratios[tail_start - 1 :])
-    return DensityEstimate(horizon=s.horizon, ratios=tuple(ratios), min_tail=min_tail)
+    horizon = s.horizon
+    members = np.asarray(s.members, dtype=np.int64)
+    marks = np.zeros(horizon, dtype=np.int64)
+    marks[members[(members >= 1) & (members <= horizon)] - 1] = 1  # only members in 1..horizon count
+    counts = np.cumsum(marks)  # c_n = |X intersect {1..n}|
+    n = np.arange(1, horizon + 1)
+    g = np.gcd(counts, n)
+    # the least c_i / i over the tail, by exact cross-multiplication
+    first = -(-horizon // 2)  # ceil(horizon / 2)
+    best, low = first, int(counts[first - 1])
+    for i, c in enumerate(counts[first:].tolist(), start=first + 1):
+        if c * best < low * i:
+            best, low = i, c
+    return DensityEstimate(
+        horizon=horizon,
+        numerators=tuple((counts // g).tolist()),
+        denominators=tuple((n // g).tolist()),
+        min_tail=Fraction(low, best),
+    )

@@ -384,6 +384,49 @@ def test_a_tied_unequal_pair_does_not_hide_an_equal_pair():
     assert ph.distinct_blocks(0, np.array([1]), 4).tolist() == [True]
 
 
+def stable_pairs(ph, start, lengths, k):
+    """The (a, b, length) that a stable argsort of each row's keys confirms first: a reference."""
+    m = lengths[:, None]
+    keys = ph.block_keys(start + m * np.arange(k), m)
+    order = keys.argsort(axis=1, kind="stable")
+    ranked = np.take_along_axis(keys, order, axis=1)
+    pairs = []
+    for r, length in enumerate(lengths.tolist()):
+        shared = np.flatnonzero(ranked[r, 1:] == ranked[r, :-1])
+        if shared.size:
+            i, j = order[r, shared[0]], order[r, shared[0] + 1]
+            pairs.append((start + int(i) * length, start + int(j) * length, length))
+    return pairs
+
+
+def test_distinct_blocks_confirms_the_pair_a_stable_sort_picks(monkeypatch):
+    seen = []
+    equal_blocks = PrefixHashes.equal_blocks
+
+    def recording(self, a, b, length):
+        seen.append((a, b, length))
+        return equal_blocks(self, a, b, length)
+
+    monkeypatch.setattr(PrefixHashes, "equal_blocks", recording)
+    rng = random.Random(11)
+    for table_class in (PrefixHashes, CollidingHashes, CollidingKeys):
+        for _ in range(40):
+            alphabet = rng.randrange(1, 4)
+            data = bytes(rng.randrange(alphabet) for _ in range(rng.randrange(2, 120)))
+            ph = table_class(data)
+            start = rng.randrange(len(data) // 2)
+            k = rng.randrange(2, 7)
+            lengths = np.arange(1, (len(data) - start) // k + 1)
+            if not lengths.size:
+                continue
+            want = stable_pairs(ph, start, lengths, k)
+            seen.clear()
+            got = ph.distinct_blocks(start, lengths, k)
+            assert seen == want, (table_class.__name__, data, start, k)
+            oracle = [naive_is_k_anti_power(Word(data[start : start + k * m], 3), k) for m in lengths.tolist()]
+            assert got.tolist() == oracle
+
+
 def colliding_blocks(length, n, seed):
     """Two distinct blocks of one length with equal keys, from a seeded random word of n bytes."""
     data = random.Random(seed).randbytes(n)

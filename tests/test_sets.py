@@ -1,5 +1,6 @@
 """Prefix index sets and density estimates."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,9 @@ from antipower import (
     naive_is_k_anti_power,
     naive_is_k_power,
     p_set,
+    parse_generator,
 )
+from antipower.hashing import PrefixHashes
 
 
 def test_ap_set_of_01_omega_is_empty():
@@ -143,6 +146,79 @@ def test_density_requires_horizon_two():
     s = IndexSet("anti-power", ThueMorseWord(), 1, 1, (1,))
     with pytest.raises(ValueError):
         density_estimate(s)
+
+
+def fraction_trace(members, horizon):
+    """d_1 .. d_horizon and their tail-half minimum, one Fraction per n: an independent oracle."""
+    ratios, count = [], 0
+    for n in range(1, horizon + 1):
+        count += n in members
+        ratios.append(Fraction(count, n))
+    return ratios, min(ratios[(horizon + 1) // 2 - 1 :])
+
+
+def test_density_trace_matches_a_fraction_loop():
+    rng = random.Random(21)
+    horizons = list(range(2, 41)) + [rng.randrange(41, 500) for _ in range(20)] + [499, 500]
+    for horizon in horizons:
+        cases = [set(), set(range(1, horizon + 1))]
+        cases += [{n for n in range(1, horizon + 1) if rng.random() < p} for p in (0.03, 0.3, 0.5, 0.9)]
+        cases.append(set(range(rng.randrange(1, horizon + 1), horizon + 1)))  # a late run: its minimum is early
+        for members in cases:
+            s = IndexSet("anti-power", ThueMorseWord(), 2, horizon, tuple(sorted(members)))
+            est = density_estimate(s)
+            ratios, low = fraction_trace(members, horizon)
+            assert est.numerators == tuple(d.numerator for d in ratios), horizon
+            assert est.denominators == tuple(d.denominator for d in ratios), horizon
+            assert all(type(v) is int for v in est.numerators + est.denominators)
+            assert est.ratios == tuple(ratios)
+            assert est.min_tail == low and type(est.min_tail) is Fraction, horizon
+
+
+def test_p_set_across_batches_matches_the_oracle():
+    # past the first batch of 16 rows the power check extends the last confirmed period
+    names = (
+        "periodic:0201011",
+        "periodic:001",
+        "periodic:0",
+        "literal:0000000:1",  # period 1 dies at n = 8
+        "literal:00000000000:01",  # period 1 dies, period 2 takes over
+        "literal:010:0100101001",
+        "thue-morse",
+        "fibonacci",
+    )
+    horizon = 150  # batches of 16, 32, 64 and 38 rows
+    for name in names:
+        for k in range(2, 7):
+            w = parse_generator(name).prefix(k * horizon)
+            want = tuple(m for m in range(1, horizon + 1) if naive_is_k_power(w[: k * m], k))
+            assert p_set(parse_generator(name), k, horizon).members == want, (name, k)
+    rng = random.Random(6)
+    for _ in range(60):
+        head = "".join(rng.choice("01") for _ in range(rng.randrange(13)))
+        tail = "".join(rng.choice("012"[: rng.randrange(1, 4)]) for _ in range(rng.randrange(1, 6)))
+        name = f"literal:{head}:{tail}"
+        k = rng.randrange(2, 7)
+        w = parse_generator(name).prefix(k * 60)
+        want = tuple(m for m in range(1, 61) if naive_is_k_power(w[: k * m], k))
+        assert p_set(parse_generator(name), k, 60).members == want, (name, k)
+
+
+def test_p_set_compares_only_past_the_known_period(monkeypatch):
+    # the 10m-prefix of (0201011)^omega is a 10-power exactly when 7 | m; each
+    # such row costs one comparison, of the symbols past the last power only
+    calls = []
+    equal_blocks = PrefixHashes.equal_blocks
+
+    def counting(self, a, b, length):
+        calls.append(length)
+        return equal_blocks(self, a, b, length)
+
+    monkeypatch.setattr(PrefixHashes, "equal_blocks", counting)
+    s = p_set(parse_generator("periodic:0201011"), 10, 100_000)
+    assert s.members == tuple(range(7, 100_001, 7))
+    assert len(calls) == 14_285
+    assert sum(calls) < 10**7  # each whole-period comparison would make it ~6.4e9
 
 
 def test_index_set_serialization():
