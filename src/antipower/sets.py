@@ -10,11 +10,12 @@ a row check for these sets, ``ap_min``, ``scan.anti_power_at_position`` and
 the witness scan.  Anti-power rows go through the exact
 ``PrefixHashes.distinct_blocks``.  A km-prefix is a k-power exactly when
 it has period m.  ``p_set`` compares symbols only for a row whose two
-period blocks share a key.  Once its scan knows a prefix of period q, one
-``equal_blocks`` call over the symbols past that prefix confirms a row
-whose length is a multiple of q, since a prefix of period q has every
-multiple of q as a period.  Any other row, and one whose extension fails,
-compares its whole period.
+period blocks share a key, and one ``equal_blocks`` call settles such a
+row.  Once its scan knows a prefix of period q, a row whose length is a
+multiple of q compares only the symbols past that prefix, since a prefix
+of period q has every multiple of q as a period.  Any other row compares
+its whole period, and so does a row whose extension fails, in a second
+call.
 """
 
 from __future__ import annotations
