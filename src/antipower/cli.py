@@ -9,20 +9,22 @@ alone: identical invocations print identical bytes.
 
 Exit codes: 0 holds/found/exact, 1 negative-but-valid (fails, not-found,
 lower bound only), 2 usage or parse error, 3 materialization cap exceeded,
-4 witness scan budget exhausted.
+4 witness scan budget exhausted, 141 (128 + SIGPIPE) stdout closed before
+the output was written, as by ``| head``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .detect import is_k_anti_power, is_k_power
 from .ramsey import EXACT, SearchParams, compute_n
 from .scan import find_anti_power_factor, find_anti_power_in_word
 from .sets import ap_min, ap_set, density_estimate, p_set
-from .witness import BudgetExhaustedError, WitnessEvidence, extract_power_witness
+from .witness import DEFAULT_BUDGET, BudgetExhaustedError, WitnessEvidence, extract_power_witness
 from .words import DEFAULT_CAP, MaterializationCapError, Word, parse_generator
 
 EXIT_OK = 0
@@ -30,6 +32,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_BUDGET = 4
+EXIT_PIPE = 141
 
 
 def _envelope(command: str, params: dict, result) -> str:
@@ -245,23 +248,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-n", help="exhaustive N(l,k) search")
     p.add_argument("l", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument("--cap", type=int, default=64, help="length cap for the search tree")
-    p.add_argument("--workers", type=int, default=1, help="processes that search the frontier's subtrees")
+    p.add_argument("--alphabet", type=int, default=SearchParams.alphabet_size)
+    p.add_argument("--cap", type=int, default=SearchParams.length_cap, help="length cap for the search tree")
+    p.add_argument("--workers", type=int, default=SearchParams.workers, help="processes that search the frontier's subtrees")
     p.set_defaults(func=_cmd_search_n)
 
     p = sub.add_parser("n-table", help="CSV table of N(l,k) over ranges")
     p.add_argument("--l-range", required=True, help='e.g. "2-4"')
     p.add_argument("--k-range", required=True, help='e.g. "2-3"')
-    p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--alphabet", type=int, default=SearchParams.alphabet_size)
+    p.add_argument("--cap", type=int, default=SearchParams.length_cap)
     p.set_defaults(func=_cmd_n_table)
 
     p = sub.add_parser("witness", help="extract u with u**l a factor, or anti-power evidence")
     p.add_argument("generator")
     p.add_argument("k", type=int)
     p.add_argument("l", type=int)
-    p.add_argument("--budget", type=int, default=100_000, help="largest block length m scanned")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="largest block length m scanned")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_witness)
 
@@ -280,7 +283,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so a closed pipe is caught here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # later writes, and the interpreter's final flush, go to /dev/null
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except MaterializationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

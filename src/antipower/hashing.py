@@ -80,8 +80,6 @@ class PrefixHashes:
     def extend(self, symbols: Iterable[int]) -> None:
         """Append symbols, growing the hash table one numpy chunk at a time."""
         data = bytes(symbols)
-        if not data:
-            return
         with self._lock:
             last = self._h[-1]
             for lo in range(0, len(data), _CHUNK):
@@ -131,8 +129,6 @@ class PrefixHashes:
         A direct comparison of the symbols, without copying them: callers
         reach it with a pair whose keys already agree, or with short blocks.
         """
-        if a == b:
-            return True
         with self._lock:
             return self._sym.startswith(memoryview(self._sym)[b : b + length], a)
 
@@ -154,14 +150,17 @@ class PrefixHashes:
             least = ranked[rows, shared[rows].argmax(axis=1)]  # each row's least shared key
             carry = keys[rows] == least[:, None]  # the blocks that carry it
             first, second = carry.argmax(axis=1), (carry.cumsum(axis=1) == 2).argmax(axis=1)
-        else:
-            first = second = rows
-        m = m[rows, 0]
-        a, b = start + first * m, start + second * m
-        for r, length, i, j in zip(rows.tolist(), m.tolist(), a.tolist(), b.tolist()):
-            if not self.equal_blocks(i, j, length):  # a hash collision: compare every block
-                distinct[r] = len({self.symbols(start + t * length, length) for t in range(k)}) == k
+            m = m[rows, 0]
+            a, b = start + first * m, start + second * m
+            for r, length, i, j in zip(rows.tolist(), m.tolist(), a.tolist(), b.tolist()):
+                if not self.equal_blocks(i, j, length):  # a hash collision: compare every block
+                    distinct[r] = len({self.symbols(start + t * length, length) for t in range(k)}) == k
         return distinct if np.ndim(lengths) else bool(distinct[0])
+
+    def head(self, n: int) -> bytes:
+        """A copy of the first n symbols, taken while no extend can resize them."""
+        with self._lock:
+            return bytes(memoryview(self._sym)[:n])
 
     def symbols(self, start: int, length: int) -> bytes:
         """Raw symbols of a block, for direct comparisons."""

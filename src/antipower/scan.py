@@ -55,9 +55,6 @@ def find_anti_power_in_word(w: Word, k: int) -> tuple[int, int] | None:
     # names[a] ranks the length-p factor at a among all length-p factors
     names = np.frombuffer(w.symbols, dtype=np.uint8).astype(np.int64)
     p = 1
-    unequal = np.empty(n, dtype=bool)
-    differs = np.empty(n, dtype=bool)
-    ok = np.empty(n, dtype=bool)
     offsets = np.arange(k)
     batch = max(1, _GATHER_KEYS // k)
     for ell in range(1, n // k + 1):
@@ -66,13 +63,10 @@ def find_anti_power_in_word(w: Word, k: int) -> tuple[int, int] | None:
             p = ell
         # as p <= ell < 2p, the block at a has the key (names[a], names[a+ell-p]), so the
         # blocks at a and a+ell differ iff the names ell apart differ at a or at a+ell-p
-        e = unequal[: len(names) - ell]
-        np.not_equal(names[:-ell], names[ell:], out=e)
-        d = differs[: n - 2 * ell + 1]
-        np.logical_or(e[: len(d)], e[ell - p : ell - p + len(d)], out=d)
+        e = names[:-ell] != names[ell:]
+        d = e[: n - 2 * ell + 1] | e[ell - p : n - ell - p + 1]
         npos = n - k * ell + 1
-        survivors = ok[:npos]
-        survivors[:] = d[:npos]
+        survivors = d[:npos].copy()
         for i in range(1, k - 1):
             survivors &= d[i * ell : i * ell + npos]
         starts = np.flatnonzero(survivors)

@@ -122,26 +122,18 @@ def _extract_from_window(x: InfiniteWord, k: int, l: int, m: int) -> WitnessEvid
     c = comb(k, 2)
     M = (k - 1) * c
     ph = x.hashes(k * (m + c))
+    pairs = [(i, j) for i in range(k - 1) for j in range(i + 1, k)]  # lex order
     pair_at: dict[tuple[int, int], int] = {}
-    found = None
-    for radius in range(m, m + c + 1):
-        pair = None
-        for i in range(k - 1):
-            for j in range(i + 1, k):
-                if ph.equal_blocks(i * radius, j * radius, radius):
-                    pair = (i, j)
-                    break
-            if pair:
-                break
+    for s in range(m, m + c + 1):
+        pair = next((p for p in pairs if ph.equal_blocks(p[0] * s, p[1] * s, s)), None)
         if pair is None:
-            raise AssertionError(f"radius {radius} escaped the window: prefix is an anti-power")
+            raise AssertionError(f"radius {s} escaped the window: prefix is an anti-power")
         if pair in pair_at:
-            found = (pair_at[pair], radius, pair)
             break
-        pair_at[pair] = radius
-    if found is None:
+        pair_at[pair] = s
+    else:
         raise AssertionError("pigeonhole failed over the window")
-    r, s, (i, j) = found
+    (i, j), r = pair, pair_at[pair]
     # the proof's overlap inequalities, asserted rather than assumed
     if not ((i + 1) * r > i * s + 1 and (j + 1) * r > j * s + 1):
         raise AssertionError("overlap inequalities violated")

@@ -171,12 +171,8 @@ class InfiniteWord:
         """The first n symbols as a finite word."""
         if n < 0:
             raise ValueError("prefix length must be non-negative")
-        if n == 0:
-            return Word(b"", self.alphabet_size)
         self._ensure(n)
-        ph = self._hashes
-        with ph._lock:  # no extend resizes the symbols while they are copied
-            return Word(bytes(memoryview(ph._sym)[:n]), self.alphabet_size)
+        return Word(self._hashes.head(n), self.alphabet_size)
 
     def hashes(self, n: int) -> PrefixHashes:
         """Shared prefix-hash table covering at least the first n symbols."""

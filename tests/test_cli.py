@@ -1,10 +1,16 @@
 """Command-line surface: outputs, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from antipower.cli import main
+import antipower
+from antipower import SearchParams
+from antipower.cli import _build_parser, main
+from antipower.witness import DEFAULT_BUDGET
 
 
 def run(capsys, *argv):
@@ -221,3 +227,36 @@ def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["check", "literal:01", "--mode", "anti-power"])  # --k is required
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "thue-morse", "1000000"),
+        ("density", "thue-morse", "--k", "3", "--kind", "ap", "--horizon", "100000"),
+    ],
+)
+def test_closed_stdout_pipe_exits_141_without_a_traceback(argv):
+    # as `antipower ... | head -c 10`: the reader leaves after a few bytes
+    src = os.path.dirname(os.path.dirname(antipower.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "antipower.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    code = proc.wait(timeout=60)  # a traceback is far smaller than the stderr pipe
+    assert (code, proc.stderr.read()) == (141, b"")
+
+
+def test_parser_defaults_come_from_the_library():
+    parser = _build_parser()
+    search = parser.parse_args(["search-n", "2", "2"])
+    assert (search.alphabet, search.cap, search.workers) == (
+        SearchParams.alphabet_size,
+        SearchParams.length_cap,
+        SearchParams.workers,
+    )
+    table = parser.parse_args(["n-table", "--l-range", "2", "--k-range", "2"])
+    assert (table.alphabet, table.cap) == (SearchParams.alphabet_size, SearchParams.length_cap)
+    assert parser.parse_args(["witness", "thue-morse", "3", "3"]).budget == DEFAULT_BUDGET

@@ -122,6 +122,53 @@ def test_avoider_words_force_the_power_branch():
     assert_power_occurs(x, ev)
 
 
+def pigeonhole_reference(x, k, m):
+    """(r, s, i, j, u, position) straight from the proof, on byte slices.
+
+    At each radius of the window from m, the lex-first pair i < j of equal
+    blocks; the first pair that repeats gives the radii r < s, and u is the
+    border complement of w = x[i*s .. (i+1)*r), of length (j-i)(s-r).
+    """
+    c = comb(k, 2)
+    prefix = x.prefix(k * (m + c)).symbols
+    pair_at = {}
+    for s in range(m, m + c + 1):
+        blocks = [prefix[t * s : (t + 1) * s] for t in range(k)]
+        pair = next((i, j) for i in range(k) for j in range(i + 1, k) if blocks[i] == blocks[j])
+        if pair in pair_at:
+            break
+        pair_at[pair] = s
+    i, j = pair
+    r = pair_at[pair]
+    u = prefix[i * s : (i + 1) * r][: (j - i) * (s - r)]
+    return r, s, i, j, u, i * s + 1
+
+
+def test_pigeonhole_picks_the_lex_first_pair_that_repeats_first():
+    from antipower import RecurrentAvoiderWord, SparseAvoiderWord
+
+    # short periods, so that windows free of anti-power prefixes are common
+    rng = random.Random(22)
+    words = []
+    for _ in range(30):
+        seed = bytes(rng.randrange(3) for _ in range(rng.randrange(1, 5)))
+        words.append(PeriodicWord(Word(seed, 3)))
+        head = bytes(rng.randrange(3) for _ in range(rng.randrange(0, 30)))
+        tail = bytes(rng.randrange(3) for _ in range(rng.randrange(1, 5)))
+        words.append(LiteralWord(Word(head, 3), Word(tail, 3)))
+    cases = [(x, k, l) for x in words for k, l in ((2, 1), (3, 1), (3, 3), (4, 2))]
+    cases += [(SparseAvoiderWord(), 4, 2), (RecurrentAvoiderWord(), 6, 2)]
+    pairs = []
+    for x, k, l in cases:
+        ev = extract_power_witness(x, k, l, budget=300)
+        if isinstance(ev, WitnessEvidence):
+            got = (ev.r, ev.s, ev.i, ev.j, ev.u.symbols, ev.occurrence_position)
+            assert got == pigeonhole_reference(x, k, ev.window_start), (x, k, l)
+            pairs.append((ev.i, ev.j))
+    # about half of these words take the power branch, and not always at pair (0, 1)
+    assert len(pairs) >= len(cases) // 3 and len(set(pairs)) >= 4
+
+
 def test_overlap_free_word_forces_the_report_branch_at_order_two():
     # every 2m-prefix of Thue-Morse splits into two distinct halves, so no
     # window is ever free of anti-power indexes: every scanned start blocks
