@@ -140,10 +140,11 @@ _CHUNK_CELLS = 16384
 def _ends_in_anti_power_rows(words: np.ndarray, k: int, alphabet_size: int) -> np.ndarray:
     """ends_in_anti_power for each row of ``words``, comparing blocks exactly.
 
-    The k blocks of each length b are compared through packed keys of b
-    letters of ceil(log2 alphabet_size) bits each, or pairwise when those do
-    not fit in 64 bits.  Lengths with alphabet_size**b < k are skipped: k
-    pairwise distinct blocks cannot fit there.
+    Each block of length b has one exact key, its b letters of
+    ceil(log2 alphabet_size) bits packed into an integer when that fits in
+    64 bits, else its raw b bytes as one np.void scalar; one sort of each
+    row's k keys and one neighbour comparison decide the row.  Lengths with
+    alphabet_size**b < k are skipped: k distinct blocks cannot fit there.
     """
     rows, m = words.shape
     hit = np.zeros(rows, dtype=bool)
@@ -155,14 +156,10 @@ def _ends_in_anti_power_rows(words: np.ndarray, k: int, alphabet_size: int) -> n
         if b * bits <= 64:
             key_type = np.min_scalar_type((1 << b * bits) - 1)
             keys = blocks @ (key_type.type(1) << np.arange(0, b * bits, bits, dtype=key_type))
-            keys.sort(axis=1)
-            hit |= (keys[:, 1:] != keys[:, :-1]).all(axis=1)
-        else:
-            distinct = np.ones(rows, dtype=bool)
-            for i in range(k):
-                for j in range(i + 1, k):
-                    distinct &= (blocks[:, i] != blocks[:, j]).any(axis=1)
-            hit |= distinct
+        else:  # a copy, so that the sort cannot reorder the letters of ``words``
+            keys = blocks.copy().view(np.dtype((np.void, b)))[..., 0]
+        keys.sort(axis=1)
+        hit |= (keys[:, 1:] != keys[:, :-1]).all(axis=1)
     return hit
 
 

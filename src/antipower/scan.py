@@ -55,7 +55,6 @@ def find_anti_power_in_word(w: Word, k: int) -> tuple[int, int] | None:
     # names[a] ranks the length-p factor at a among all length-p factors
     names = np.frombuffer(w.symbols, dtype=np.uint8).astype(np.int64)
     p = 1
-    offsets = np.arange(k)
     batch = max(1, _GATHER_KEYS // k)
     for ell in range(1, n // k + 1):
         if ell == 2 * p:
@@ -73,7 +72,7 @@ def find_anti_power_in_word(w: Word, k: int) -> tuple[int, int] | None:
         # the adjacent blocks of each survivor differ; sorting its k keys checks every
         # pair, for a batch of survivors at a time so that the gather stays bounded
         for lo in range(0, starts.size, batch):
-            at = starts[lo : lo + batch, None] + ell * offsets
+            at = starts[lo : lo + batch, None] + np.arange(0, k * ell, ell)
             rows = np.sort(names[at] * base + names[at + (ell - p)], axis=1)
             distinct = (rows[:, 1:] != rows[:, :-1]).all(axis=1)
             if distinct.any():

@@ -181,11 +181,14 @@ def extract_power_witness(
         raise BudgetExhaustedError(
             f"budget {budget} leaves no block length above (l+1)*M = {n_threshold} to scan"
         )
-    found: list[int] = []  # anti-power lengths, in increasing order
+    sample: list[int] = []  # the first _REPORT_SAMPLE anti-power lengths
+    total = 0  # anti-power lengths found
     run = 0  # consecutive non-anti-power lengths ending at m
     for m, anti_power in _scan_lengths(x, k, 0, n_threshold + 1, budget + c, prefix_is_k_anti_power):
         if anti_power:
-            found.append(m)
+            total += 1
+            if len(sample) < _REPORT_SAMPLE:
+                sample.append(m)
             if m >= budget:  # it blocks every window left to scan
                 break
             run = 0
@@ -197,6 +200,6 @@ def extract_power_witness(
         k=k,
         l=l,
         scanned_to=budget,
-        anti_power_lengths=tuple(found[:_REPORT_SAMPLE]),
-        total_found=len(found),
+        anti_power_lengths=tuple(sample),
+        total_found=total,
     )

@@ -79,7 +79,7 @@ class Word:
             if not all(c in _LETTERS for c in text):
                 raise ValueError(f"cannot parse word literal {text!r}")
             values = bytes(_LETTERS.index(c) for c in text)
-        elif all(c.isdigit() for c in text):
+        elif all(c in string.digits for c in text):
             values = bytes(int(c) for c in text)
         else:
             raise ValueError(f"cannot parse word literal {text!r}")

@@ -139,21 +139,32 @@ def test_chunk_engine_matches_the_stack_dfs(l, k, a, cap):
     assert compute_n(SearchParams(l=l, k=k, alphabet_size=a, length_cap=cap)).to_json() == stack_dfs_outcome(l, k, a, cap)
 
 
-@pytest.mark.parametrize("a,k,length", [(2, 2, 200), (2, 3, 60), (3, 4, 80), (4, 5, 60), (256, 2, 40)])
+@pytest.mark.parametrize(
+    "a,k,length", [(2, 2, 200), (2, 3, 60), (3, 4, 80), (4, 5, 60), (256, 2, 40), (256, 3, 60), (8, 10, 240)]
+)
 def test_row_anti_power_check_matches_the_suffix_check(a, k, length):
-    # long blocks (b * ceil(log2 a) > 64) take the pairwise path, short ones packed keys
+    # long blocks (b * ceil(log2 a) > 64) take raw-byte keys, short ones packed keys
+    short = 64 // (a - 1).bit_length()  # the longest block with a packed key
     rng = np.random.default_rng(a * 100 + k)
     words = rng.integers(0, a, (300, length), dtype=np.uint8)
     words[::3, length // 2 :] = words[::3, : length - length // 2]  # rows whose halves repeat
     # one 1, then zeros: for k = 2 only the whole word can be an anti-power, so long blocks decide
     words[1::3] = 0
     words[1::3, 0] = 1
-    seen = set()
+    # a zero tail: with 2 * short trailing zeros, the last two blocks of every short
+    # length are equal, so only a long block can make such a prefix end in an anti-power
+    tail = length - 2 * short - 1
+    long_blocks_fit = k * (short + 1) < length
+    if long_blocks_fit:
+        words[2::3, tail:] = 0
+    seen, long_only = set(), False
     for m in range(1, length + 1):
         got = ramsey._ends_in_anti_power_rows(np.ascontiguousarray(words[:, :m]), k, a).tolist()
         assert got == [ends_in_anti_power(w.tobytes(), k) for w in words[:, :m]], m
         seen.update(got)
+        long_only |= long_blocks_fit and m - tail >= 2 * short and any(got[2::3])
     assert seen == {False, True}
+    assert long_only == long_blocks_fit
 
 
 @pytest.mark.parametrize("cells", [1, 7, 100])

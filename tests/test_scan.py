@@ -1,6 +1,7 @@
 """Factor scans and the bounded right-extension search."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from antipower import (
     FibonacciWord,
     PeriodicWord,
     RecurrentAvoiderWord,
+    SearchParams,
     SparseAvoiderWord,
     ThueMorseWord,
     Word,
     anti_power_at_position,
+    compute_n,
     find_anti_power_factor,
     find_anti_power_in_word,
     max_avoiding_extension,
@@ -129,6 +132,24 @@ def near_periodic_words(draw):
 def test_find_anti_power_matches_naive_on_near_periodic_words(case):
     w, k = case
     assert find_anti_power_in_word(w, k) == naive_find_anti_power_factor(w, k)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_scan_builds_nothing_sized_by_k_before_a_block_length_fits():
+    # no block of a 2-letter word fits k = 10**7 times, so the scan allocates nothing sized by k
+    hit, peak = traced_peak(lambda: find_anti_power_in_word(Word(b"\x00\x01"), 10**7))
+    assert hit is None and peak < 1 << 20, peak
+    # compute_n scans its witness with the same order k
+    out, peak = traced_peak(lambda: compute_n(SearchParams(l=2, k=10**7)))
+    assert (out.status, out.value) == ("exact", 4) and peak < 1 << 20, peak
 
 
 def test_find_anti_power_validates_arguments():

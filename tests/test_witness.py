@@ -1,6 +1,7 @@
 """Power-witness extraction and the executable dichotomy."""
 
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -176,6 +177,24 @@ def test_overlap_free_word_forces_the_report_branch_at_order_two():
     assert isinstance(rep, AntiPowerReport)
     assert rep.anti_power_lengths[0] == 5  # first block length past (l+1)*M = 4
     assert rep.total_found == 196  # one confirmed anti-power per scanned window start
+
+
+def test_a_long_report_scan_keeps_only_the_lengths_it_reports():
+    budget = 200_000
+    x = ThueMorseWord()
+    x.hashes(3 * (budget + 3))  # the scan reads prefixes of 3m symbols, m <= budget + C(3, 2)
+    tracemalloc.start()
+    try:
+        rep = extract_power_witness(x, 3, 50, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # holding all ~200 000 lengths as Python ints took ~7 MB more
+    assert peak < 5 << 20, peak
+    assert rep.anti_power_lengths == tuple(range(307, 331))
+    assert rep.total_found == 199_675
+    early = extract_power_witness(x, 3, 50, budget=20_000)
+    assert (early.anti_power_lengths, early.total_found) == (tuple(range(307, 331)), 19_682)
 
 
 def test_witness_serialization_schema():

@@ -41,6 +41,15 @@ def test_word_round_trip():
         Word([3], alphabet_size=2)
 
 
+def test_word_literals_are_ascii_only():
+    assert Word.from_text("0123456789").symbols == bytes(range(10))
+    assert Word.from_text("zab").symbols == bytes((25, 0, 1))
+    # Arabic-Indic, fullwidth and superscript digits are not word letters
+    for text in ("\u0661\u0662", "\uff101", "\u00b2", "0\u0661"):
+        with pytest.raises(ValueError, match="cannot parse word literal"):
+            Word.from_text(text)
+
+
 def test_word_rendering_beyond_small_alphabets():
     w = Word(bytes([0, 11, 25]), alphabet_size=26)
     assert w.to_text() == "alz"
